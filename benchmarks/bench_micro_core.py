@@ -13,13 +13,8 @@ and once with the pre-optimisation full-scan expansion
 record (``compiled_match``: the compiled CSR backend against the
 interpreter on the same typed-expansion workload and on the 32-variant
 rewrite batch, with the program-cache counters -- single-core, pure
-CPU, gated at >= 2x), the serial-vs-parallel
-``CandidateEvaluator`` batch workload (``candidate_batch``), the
-async-service request-throughput sweep (``async_service``: concurrency
-1/32/256 through ``WhyQueryService.explain_async`` over a modeled
-storage-stall workload), the pure-CPU process-pool batch workload
-(``process_pool``: ``ProcessExecutor`` vs ``SerialExecutor``, the
-workload the GIL-bound thread/async executors cannot touch), the
+CPU, gated at >= 2x), the pure-CPU process-pool batch workload
+(``process_pool``: ``ProcessExecutor`` vs ``SerialExecutor``), the
 intra-query shard fan-out (``sharded_expansion``: one heavy count split
 across worker-process shard blocks) and the shard-affine placement
 record (``affine_placement``: per-worker wire-payload bytes under
@@ -41,8 +36,7 @@ Honesty note: the two process sections record ``cpu_cores``; on a
 single-core machine process parallelism cannot beat serial for pure CPU
 work, so the recorded speedups are what the machine can actually do and
 both the in-test assertions and the trajectory gate only enforce the
-multi-core speedup target when ``cpu_cores >= 2`` (the same policy as
-the ``cpu_only`` record of the candidate-batch section).
+multi-core speedup target when ``cpu_cores >= 2``.
 
 ``REPRO_BENCH_PROCESS_WORKERS`` caps the worker processes (default 2,
 which matches the smallest CI runners).
@@ -50,7 +44,6 @@ which matches the smallest CI runners).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import pathlib
@@ -59,13 +52,7 @@ import time
 
 from repro.core import GraphQuery, PropertyGraph, equals
 from repro.datasets import ldbc
-from repro.exec import (
-    AsyncExecutor,
-    CandidateEvaluator,
-    ExecutionContext,
-    ParallelExecutor,
-    SerialExecutor,
-)
+from repro.exec import ExecutionContext
 from repro.matching import (
     PatternMatcher,
     csr_stats,
@@ -73,13 +60,11 @@ from repro.matching import (
     shared_evaluation_cache,
 )
 from repro.metrics.assignment import assignment_cost
-from repro.metrics.cardinality import CardinalityProblem
 from repro.metrics.result_distance import result_set_distance
 from repro.metrics.syntactic import syntactic_distance
 from repro.obs import Tracer
-from repro.rewrite.cache import QueryResultCache
 from repro.rewrite.statistics import GraphStatistics
-from repro.service import BudgetPool, WhyQueryService
+from repro.service import WhyQueryService
 from repro.shard import GraphPartitioner, ProcessExecutor, ShardedMatcher
 
 JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_micro_core.json"
@@ -259,7 +244,7 @@ def _compiled_match_section() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# candidate-batch workload: serial vs parallel CandidateEvaluator
+# candidate-batch workload: the shape of one rewriting frontier
 # ---------------------------------------------------------------------------
 
 
@@ -282,236 +267,6 @@ def _candidate_batch_workload(num_types: int = 32, hubs: int = 12, fanout: int =
         q.add_edge(h, leaf_v, types={f"rel{t}"})
         variants.append(q)
     return g, variants, hubs * fanout
-
-
-class _ModeledStorageMatcher:
-    """``count()`` with a modeled per-evaluation storage stall.
-
-    The long-lived service deployment this workload stands for evaluates
-    candidates against network-attached storage; the stall
-    (``time.sleep``) releases the GIL exactly like that backend I/O
-    would, which is what a thread-backed ``ParallelExecutor`` overlaps.
-    Pure in-memory CPU numbers are recorded next to the modeled ones --
-    on a single GIL-bound core those cannot beat serial, and the JSON
-    shows that honestly.
-    """
-
-    def __init__(self, matcher: PatternMatcher, latency_s: float) -> None:
-        self.matcher = matcher
-        self.latency_s = latency_s
-
-    def count(self, query, limit=None):
-        if self.latency_s > 0.0:
-            time.sleep(self.latency_s)
-        return self.matcher.count(query, limit=limit)
-
-
-def _candidate_batch_section(latency_s: float = 0.002, workers: int = 8) -> dict:
-    graph, variants, expected = _candidate_batch_workload()
-    matcher = PatternMatcher(graph)
-    modeled = _ModeledStorageMatcher(matcher, latency_s)
-    cpu_only = _ModeledStorageMatcher(matcher, 0.0)
-    # warm the per-graph plan/candidate caches so both executors measure
-    # steady-state evaluation, not first-touch index derivation
-    baseline = [matcher.count(q) for q in variants]
-    assert baseline == [expected] * len(variants)
-
-    batches: dict = {}
-    with ParallelExecutor(max_workers=workers) as parallel:
-        serial = SerialExecutor()
-        for size in (1, 8, 32):
-            queries = variants[:size]
-            serial_eval = CandidateEvaluator(modeled, executor=serial)
-            parallel_eval = CandidateEvaluator(modeled, executor=parallel)
-            serial_results = serial_eval.evaluate(queries)
-            parallel_results = parallel_eval.evaluate(queries)
-            # identical result sets, order-insensitively (also asserted
-            # against real engines in tests/test_exec.py)
-            assert sorted((r.index, r.cardinality) for r in serial_results) == sorted(
-                (r.index, r.cardinality) for r in parallel_results
-            )
-            serial_s = _best_of(lambda: serial_eval.evaluate(queries))
-            parallel_s = _best_of(lambda: parallel_eval.evaluate(queries))
-            batches[str(size)] = {
-                "serial_s": serial_s,
-                "parallel_s": parallel_s,
-                "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
-                "cpu_only": {
-                    "serial_s": _best_of(
-                        lambda: CandidateEvaluator(
-                            cpu_only, executor=serial
-                        ).evaluate(queries)
-                    ),
-                    "parallel_s": _best_of(
-                        lambda: CandidateEvaluator(
-                            cpu_only, executor=parallel
-                        ).evaluate(queries)
-                    ),
-                },
-            }
-    return {
-        "workload": {
-            "variants": len(variants),
-            "hubs": 12,
-            "fanout_per_type": 6,
-            "matches_per_variant": expected,
-        },
-        "modeled_eval_latency_s": latency_s,
-        "workers": workers,
-        "batches": batches,
-        "speedup_32": batches["32"]["speedup"],
-    }
-
-
-# ---------------------------------------------------------------------------
-# async-service workload: concurrency sweep through WhyQueryService
-# ---------------------------------------------------------------------------
-
-
-class _ModeledStorageCache(QueryResultCache):
-    """Result cache whose counts pay a modeled storage stall on *every*
-    call -- sync and async alike.
-
-    Models the service deployment the async layer targets: every count
-    is an RPC against network-attached storage, so memoisation is
-    bypassed and each evaluation pays the round trip.  The async variant
-    parks the stall on the event loop (no thread is occupied while it
-    waits), which is exactly the overlap ``AsyncExecutor`` exists for.
-    """
-
-    def __init__(self, matcher: PatternMatcher, latency_s: float) -> None:
-        super().__init__(matcher)
-        self.latency_s = latency_s
-
-    def count(self, query, limit=None):
-        if self.latency_s > 0.0:
-            time.sleep(self.latency_s)
-        return self.matcher.count(query, limit=limit)
-
-    async def count_async(self, query, limit=None):
-        if self.latency_s > 0.0:
-            await asyncio.sleep(self.latency_s)
-        return self.matcher.count(query, limit=limit)
-
-
-def _async_service_workload(num_types: int = 6, hubs: int = 4, fanout: int = 3):
-    """One hot graph plus a why-empty request against it.
-
-    The query is wrong in *two* places (missing edge type and an
-    unsatisfiable vertex predicate), so no single relaxation fixes it and
-    every request genuinely drains its evaluation budget against the
-    modeled storage -- the request profile the async layer exists for
-    (many small storage-bound counts, little CPU in between).  The graph
-    is deliberately small so per-candidate CPU stays a fraction of the
-    2 ms stall."""
-    g = PropertyGraph()
-    hub_ids = [g.add_vertex(type="hub") for _ in range(hubs)]
-    for hub in hub_ids:
-        for t in range(num_types):
-            for _ in range(fanout):
-                leaf = g.add_vertex(type="leaf")
-                g.add_edge(hub, leaf, f"rel{t}")
-    q = GraphQuery()
-    h = q.add_vertex(predicates={"type": equals("hub")})
-    leaf_v = q.add_vertex(
-        predicates={"type": equals("leaf"), "name": equals("nope")}
-    )
-    q.add_edge(h, leaf_v, types={"relMISSING"})
-    return g, q
-
-
-def _async_service_section(
-    latency_s: float = 0.003,
-    concurrencies=(1, 32, 256),
-    rewrite_budget: int = 12,
-) -> dict:
-    graph, failing = _async_service_workload()
-
-    def make_service(executor) -> WhyQueryService:
-        def factory(g: PropertyGraph) -> ExecutionContext:
-            matcher = PatternMatcher(g)
-            return ExecutionContext(
-                g, matcher=matcher, cache=_ModeledStorageCache(matcher, latency_s)
-            )
-
-        # the pool is sized so fair-share never clips a request (this
-        # section measures overlap, not load shedding); admission
-        # counters still flow into the recorded stats
-        return WhyQueryService(
-            executor=executor,
-            context_factory=factory,
-            budget_pool=BudgetPool(
-                total=rewrite_budget * 1024, min_grant=1, max_waiting=1024
-            ),
-            max_async_requests=64,
-            max_rewrite_evaluations=rewrite_budget,
-            rewrite_k=1,
-        )
-
-    def run_serial(requests: int) -> float:
-        service = make_service(SerialExecutor())
-        start = time.perf_counter()
-        for _ in range(requests):
-            report = service.explain(graph, failing, explain=False)
-            assert report.problem is CardinalityProblem.EMPTY
-        return time.perf_counter() - start
-
-    def run_async(requests: int, concurrency: int, executor: AsyncExecutor) -> float:
-        service = make_service(executor)
-
-        async def main() -> None:
-            gate = asyncio.Semaphore(concurrency)
-
-            async def one() -> None:
-                async with gate:
-                    report = await service.explain_async(
-                        graph, failing, explain=False
-                    )
-                    assert report.problem is CardinalityProblem.EMPTY
-
-            await asyncio.gather(*(one() for _ in range(requests)))
-
-        start = time.perf_counter()
-        asyncio.run(main())
-        elapsed = time.perf_counter() - start
-        service.close()
-        return elapsed
-
-    serial_requests = 24
-    serial_s = run_serial(serial_requests)
-    serial_rps = serial_requests / serial_s
-
-    levels: dict = {}
-    with AsyncExecutor(max_in_flight=256, offload_workers=32) as executor:
-        for concurrency in concurrencies:
-            requests = max(24, 2 * concurrency)
-            elapsed = run_async(requests, concurrency, executor)
-            rps = requests / elapsed
-            levels[str(concurrency)] = {
-                "requests": requests,
-                "elapsed_s": elapsed,
-                "throughput_rps": rps,
-                "speedup_vs_serial": rps / serial_rps,
-            }
-        executor_info = executor.info()
-
-    return {
-        "workload": {
-            "hubs": 4,
-            "types": 6,
-            "fanout_per_type": 3,
-            "modeled_eval_latency_s": latency_s,
-            "rewrite_budget_per_request": rewrite_budget,
-        },
-        "serial": {
-            "requests": serial_requests,
-            "elapsed_s": serial_s,
-            "throughput_rps": serial_rps,
-        },
-        "concurrency": levels,
-        "speedup_32": levels["32"]["speedup_vs_serial"],
-        "executor": executor_info,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1203,8 +958,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     ops["matcher_count_ldbc_q1"]["steps"] = q1_steps
 
     compiled_match = _compiled_match_section()
-    candidate_batch = _candidate_batch_section()
-    async_service = _async_service_section()
     process_pool = _process_pool_section()
     sharded_expansion = _sharded_expansion_section()
     affine_placement = _affine_placement_section()
@@ -1215,7 +968,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 9,
+        "schema_version": 10,
         "typed_expansion": {
             "workload": {
                 "hubs": 48,
@@ -1228,8 +981,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
             "speedup": speedup,
         },
         "compiled_match": compiled_match,
-        "candidate_batch": candidate_batch,
-        "async_service": async_service,
         "process_pool": process_pool,
         "sharded_expansion": sharded_expansion,
         "affine_placement": affine_placement,
@@ -1249,8 +1000,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     print(
         f"\nwrote {JSON_PATH} (typed-expansion speedup {speedup:.1f}x, "
         f"compiled-match speedup {compiled_match['speedup']:.1f}x, "
-        f"batch-32 speedup {candidate_batch['speedup_32']:.1f}x, "
-        f"async-service speedup@32 {async_service['speedup_32']:.1f}x, "
         f"process-pool speedup@2w {process_pool['speedup_2w']:.2f}x, "
         f"sharded speedup@2s {sharded_expansion['speedup_2s']:.2f}x, "
         f"affine payload ratio@4s {affine_placement['payload_ratio_4s']:.1f}x, "
@@ -1280,13 +1029,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     assert (
         compiled_match["program_cache"]["rewrite_batch"]["programs_compiled"] > 0
     )
-    # acceptance: on the 32-candidate batch the parallel evaluator
-    # overlaps the modeled per-evaluation storage stalls >=1.5x
-    assert candidate_batch["speedup_32"] >= 1.5, candidate_batch["speedup_32"]
-    # acceptance: the async service overlaps whole requests -- >=4x over
-    # serial at concurrency 32 on an idle machine (recorded in the JSON);
-    # the assertion bound is looser so contended CI runners cannot flake
-    assert async_service["speedup_32"] >= 2.0, async_service["speedup_32"]
     # acceptance: with >=2 real cores the process pool beats serial on the
     # pure-CPU batch by >=1.5x at 2 workers, and the shard fan-out speeds
     # up a single heavy count.  A single-core machine physically cannot

@@ -4,8 +4,7 @@ Measures the network front door end to end: a
 :class:`~repro.server.WhyQueryProtocolServer` on a background thread, an
 asyncio client firing explain requests at a *fixed arrival rate*
 (open-loop -- arrivals do not wait for completions, so queueing delay is
-part of the measured latency, unlike the closed-loop concurrency sweep
-in ``bench_micro_core``'s async section), at two offered-load levels:
+part of the measured latency), at two offered-load levels:
 
 * **end-to-end latency** p50/p99 per concurrency level (request sent ->
   final ``result`` frame);
@@ -18,8 +17,7 @@ in ``bench_micro_core``'s async section), at two offered-load levels:
   differential guarantee, asserted under load;
 * tail ratio ``p99_over_p50`` per level (queueing-delay health).
 
-Counts pay a modeled storage stall (same idiom as the async-service
-section), so per-request latency is dominated by a deterministic
+Counts pay a modeled storage stall, so per-request latency is dominated by a deterministic
 workload rather than matcher CPU, and the ratios are comparable across
 machines.  ``server_protocol_section()`` feeds ``BENCH_micro_core.json``
 (schema v8) and is gated by ``check_trajectory.py``; run this file
@@ -60,10 +58,9 @@ class _StallCache(QueryResultCache):
 
 
 def _workload():
-    """A small hot graph and a doubly-wrong why-empty query (the
-    request profile of the async-service section: the rewrite search
-    genuinely drains its budget, one storage-stalled count per
-    candidate)."""
+    """A small hot graph and a doubly-wrong why-empty query: no single
+    relaxation fixes it, so the rewrite search genuinely drains its
+    budget, one storage-stalled count per candidate."""
     g = PropertyGraph()
     for _ in range(4):
         hub = g.add_vertex(type="hub")

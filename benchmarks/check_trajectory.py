@@ -21,8 +21,6 @@ fails (exit code 1) when the trajectory regressed:
   stronger of the committed baseline and the 2x acceptance target.
   Single-core, pure CPU -- like the typed-expansion gate, this is *not*
   core-aware;
-* **candidate-batch throughput**: the batch-32 overlap speedup of the
-  parallel evaluator must not drop by more than ``--max-regression``;
 * **sharded-expansion throughput**: the shard fan-out now runs compiled
   workers, so its speedup over the *interpreted* serial baseline holds
   on any core count (the compiled kernels repay the IPC round trip
@@ -229,12 +227,6 @@ def check_trajectory(
         "compiled-match rewrite-batch speedup",
         max(dig(baseline, "compiled_match.rewrite_batch.speedup"), 2.0),
         dig(fresh, "compiled_match.rewrite_batch.speedup"),
-        max_regression,
-    )
-    gate.check_not_below(
-        "candidate-batch speedup @32",
-        dig(baseline, "candidate_batch.speedup_32"),
-        dig(fresh, "candidate_batch.speedup_32"),
         max_regression,
     )
     check_multicore_speedup(

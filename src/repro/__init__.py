@@ -31,9 +31,8 @@ Execution spine
     :class:`~repro.exec.ExecutionContext` bundles the per-graph
     evaluation stack every engine shares;
     :class:`~repro.exec.CandidateEvaluator` evaluates candidate batches
-    through :class:`~repro.exec.SerialExecutor` /
-    :class:`~repro.exec.ParallelExecutor` /
-    :class:`~repro.exec.AsyncExecutor`.
+    through :class:`~repro.exec.SerialExecutor` (in-process) or
+    :class:`~repro.shard.ProcessExecutor` (worker processes).
 Sharding & process parallelism
     :class:`~repro.shard.GraphPartitioner` splits a graph into
     vertex-range :class:`~repro.shard.GraphShard` blocks behind the
@@ -45,8 +44,7 @@ Sharding & process parallelism
 Service
     :class:`~repro.service.WhyQueryService` keeps a bounded pool of warm
     per-graph contexts and serves concurrent ``explain()`` /
-    ``open_session()`` requests -- synchronously or through the async
-    front door (``explain_async``), with service-level admission control
+    ``open_session()`` requests, with service-level admission control
     via :class:`~repro.service.BudgetPool`; ``executor="process"``
     gives every pooled graph its own warm worker pool.
 Network front door
@@ -60,9 +58,8 @@ Network front door
     ``docs/protocol.md``.
 Unified stats
     Every surface (``service.stats()``, ``matcher.cache_info()``,
-    ``executor.info()``) emits the :mod:`repro.stats` schema; the
-    pre-1.3 flat keys stay readable for one release behind a
-    :class:`DeprecationWarning`.
+    ``executor.info()``) emits the :mod:`repro.stats` schema as a plain
+    ``dict``.
 """
 
 from repro.core import (
@@ -82,11 +79,9 @@ from repro.core import (
     one_of,
 )
 from repro.exec import (
-    AsyncExecutor,
     CandidateEvaluator,
     EvaluationBudget,
     ExecutionContext,
-    ParallelExecutor,
     SerialExecutor,
     execution_context,
 )
@@ -115,11 +110,10 @@ from repro.client import (
 )
 from repro.server import WhyQueryProtocolServer, serve_in_thread
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdmissionRejected",
-    "AsyncExecutor",
     "AsyncWhyQueryClient",
     "BOTH_DIRECTIONS",
     "BudgetPool",
@@ -133,7 +127,6 @@ __all__ = [
     "GraphQuery",
     "GraphShard",
     "Interval",
-    "ParallelExecutor",
     "PatternMatcher",
     "Predicate",
     "ProcessExecutor",

@@ -7,31 +7,27 @@ attribute domain, preference models) so every engine constructs itself
 *from* a context instead of wiring its own, and
 :class:`CandidateEvaluator` evaluates batches of independent query
 variants through a pluggable executor under a shared
-:class:`EvaluationBudget`.  Executors: :class:`SerialExecutor` (one
-task after another), :class:`ParallelExecutor` (thread pool) and
-:class:`AsyncExecutor` (asyncio event loop with an in-flight cap, the
-serving-scale strategy).
+:class:`EvaluationBudget`.  The in-process executor is
+:class:`SerialExecutor` (one task after another, the default and the
+semantics oracle); CPU-parallel evaluation is the process-backed
+:class:`~repro.shard.ProcessExecutor`.
 """
 
-from repro.exec.async_executor import AsyncExecutor
 from repro.exec.context import ExecutionContext, execution_context
 from repro.exec.evaluator import (
     BatchExecutor,
     CandidateEvaluator,
     EvaluatedCandidate,
     EvaluationBudget,
-    ParallelExecutor,
     SerialExecutor,
 )
 
 __all__ = [
-    "AsyncExecutor",
     "BatchExecutor",
     "CandidateEvaluator",
     "EvaluatedCandidate",
     "EvaluationBudget",
     "ExecutionContext",
-    "ParallelExecutor",
     "SerialExecutor",
     "execution_context",
 ]

@@ -18,17 +18,12 @@ sequential -- one candidate popped, one ``count`` issued, repeat.
   :class:`EvaluationBudget`, so a batch can never overrun the engine's
   evaluation budget -- the batch is truncated instead;
 * the actual execution strategy is pluggable: :class:`SerialExecutor`
-  runs in the calling thread, :class:`ParallelExecutor` fans the batch
-  out over a ``ThreadPoolExecutor``, the asyncio-backed
-  :class:`~repro.exec.async_executor.AsyncExecutor` parks the batch on
-  an event loop under an in-flight cap (when the counter is
-  async-native -- it exposes ``count_async(query, limit=...)`` -- the
-  evaluator hands such an executor coroutine tasks, so waiting counts
-  consume no threads at all), and the process-backed
-  :class:`~repro.shard.ProcessExecutor` escapes the GIL entirely:
-  executors advertising ``supports_queries`` receive the *queries*
-  (closures cannot cross a process boundary) via ``run_queries`` and
-  evaluate them against their own long-lived per-worker contexts.
+  runs in the calling thread (the default and the semantics oracle),
+  and the process-backed :class:`~repro.shard.ProcessExecutor` escapes
+  the GIL: executors advertising ``supports_queries`` receive the
+  *queries* (closures cannot cross a process boundary) via
+  ``run_queries`` and evaluate them against their own long-lived
+  per-worker contexts.
 
 Thread-safety: the evaluation stack underneath
 (:class:`~repro.rewrite.cache.QueryResultCache`,
@@ -42,9 +37,7 @@ is computed at most once per batch.
 
 from __future__ import annotations
 
-import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, TypeVar
 
@@ -58,7 +51,6 @@ __all__ = [
     "CandidateEvaluator",
     "EvaluatedCandidate",
     "EvaluationBudget",
-    "ParallelExecutor",
     "SerialExecutor",
 ]
 
@@ -129,62 +121,6 @@ class SerialExecutor:
 
     def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
         return [task() for task in tasks]
-
-
-class ParallelExecutor:
-    """Fan a batch out over a thread pool, keeping submission order.
-
-    Results are collected with ``ThreadPoolExecutor.map``, so the output
-    order equals the input order no matter which worker finishes first --
-    search code built on top stays deterministic.  The pool is created
-    lazily and reused across batches; call :meth:`close` (or use the
-    instance as a context manager) to release the worker threads.
-
-    The wall-clock win over :class:`SerialExecutor` comes from overlapping
-    whatever blocking the evaluation path contains (storage latency, a
-    remote backend, GIL-releasing kernels); pure-Python CPU work is still
-    serialised by the GIL.
-    """
-
-    name = "parallel"
-
-    def __init__(self, max_workers: int = 8) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-        #: engines default their drain batch to the worker count, so one
-        #: batch keeps every worker busy without overshooting the budget
-        #: further than necessary
-        self.preferred_batch = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="candidate-eval",
-                )
-            return self._pool
-
-    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        if len(tasks) <= 1:  # no point paying pool dispatch for one task
-            return [task() for task in tasks]
-        pool = self._ensure_pool()
-        return list(pool.map(lambda task: task(), tasks))
-
-    def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)
@@ -283,21 +219,10 @@ class CandidateEvaluator:
             # deterministic -- only the cache locality differs)
             counts = self.executor.run_queries(unique_queries, limit=limit)
         else:
-            if getattr(self.executor, "supports_async", False) and hasattr(
-                counter, "count_async"
-            ):
-                # async-native counter + async-capable executor: hand over
-                # coroutine-function tasks so waits park on the event loop
-                # instead of occupying a worker thread per count
-                tasks: List[Callable[[], int]] = [
-                    functools.partial(counter.count_async, query, limit=limit)
-                    for query in unique_queries
-                ]
-            else:
-                tasks = [
-                    (lambda q=query: counter.count(q, limit=limit))
-                    for query in unique_queries
-                ]
+            tasks = [
+                (lambda q=query: counter.count(q, limit=limit))
+                for query in unique_queries
+            ]
             counts = self.executor.run(tasks)
         self.evaluated += len(batch)
         self.batches += 1

@@ -1,9 +1,10 @@
 """Component resolution shared by the engines' constructors.
 
-Every engine accepts the same three-way wiring choice: explicit
-components win, then the :class:`~repro.exec.context.ExecutionContext`'s
-spine, then fresh per-engine wiring.  :func:`resolve_spine` implements
-that precedence once so the engines cannot drift apart.
+Every engine accepts the same wiring choice: the
+:class:`~repro.exec.context.ExecutionContext`'s spine, or explicit
+components (never both), with fresh per-engine wiring filling whatever
+is not given.  :func:`resolve_spine` implements that rule once so the
+engines cannot drift apart.
 
 The ``context`` argument is duck-typed (anything exposing ``graph``,
 ``matcher``, ``cache``, ``statistics``) rather than imported, which keeps
@@ -14,7 +15,6 @@ this module a leaf: it can be imported from ``repro.rewrite`` /
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Tuple
 
 from repro.core.graph import PropertyGraph
@@ -35,24 +35,21 @@ def resolve_spine(
     """Resolve ``(graph, matcher, cache, statistics)`` for one engine.
 
     Raises :class:`ValueError` when neither ``graph`` nor ``context`` is
-    given, or when both are given but disagree.
-
-    Passing individual components (``matcher`` / ``cache`` /
-    ``statistics``) alongside a ``context`` is deprecated: the context
-    *is* the spine, and overriding one layer of it silently forfeits the
-    shared caches the other layers assume.  Build a dedicated
-    ``ExecutionContext`` with the desired components instead.
+    given, when both are given but disagree, or when individual
+    components (``matcher`` / ``cache`` / ``statistics``) are passed
+    alongside a ``context``: the context *is* the spine, and overriding
+    one layer of it would silently forfeit the shared caches the other
+    layers assume.  Build a dedicated ``ExecutionContext`` with the
+    desired components instead.
     """
     if graph is None and context is None:
         raise ValueError("either graph or context is required")
     if context is not None and any(
         component is not None for component in (matcher, cache, statistics)
     ):
-        warnings.warn(
-            "passing matcher=/cache=/statistics= alongside context= is "
-            "deprecated; wire a dedicated ExecutionContext instead",
-            DeprecationWarning,
-            stacklevel=3,
+        raise ValueError(
+            "matcher=/cache=/statistics= cannot be passed alongside "
+            "context=; wire a dedicated ExecutionContext instead"
         )
     if context is not None:
         if graph is not None and graph is not context.graph:

@@ -25,7 +25,7 @@ reports the shared plan/candidate cache counters next to them.
 from __future__ import annotations
 
 import os
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import Direction, GraphQuery, QueryEdge
@@ -54,7 +54,6 @@ from repro.matching.program import (
 )
 from repro.obs.tracing import SPAN_MATCH, SPAN_PLAN, current_tracer
 from repro.stats import (
-    StatsReport,
     csr_section,
     deltas_section,
     programs_section,
@@ -115,44 +114,23 @@ class PatternMatcher:
         #: cumulative number of binding attempts (search effort)
         self.steps = 0
 
-    def cache_info(self) -> "StatsReport":
+    def cache_info(self) -> Dict[str, Any]:
         """Cache and compilation counters in the unified stats schema.
 
         Emits the :mod:`repro.stats` sections (``caches`` holds the
         ``plan`` and ``vertex_candidates`` layers, ``csr``/``programs``
-        the compilation counters -- zeros until a compiled run).  The
-        pre-unification keys (``cache_info()["plan"]``,
-        ``cache_info()["programs"]["programs_compiled"]``, ...) stay
-        readable for one release behind a :class:`DeprecationWarning`.
+        the compilation counters -- zeros until a compiled run).
         """
         flat = csr_stats(self.graph)
-        caches = {
-            "plan": plan_cache_stats(self.graph).as_dict(),
-            "vertex_candidates": self.evalcache.stats.as_dict(),
-        }
-        programs = StatsReport(
-            programs_section(flat),
-            legacy=flat,
-            hints={key: "['programs']['compiled'/'hits'] or ['csr']" for key in flat},
-            surface="cache_info()['programs']",
-        )
         return unified_stats(
-            caches=caches,
+            caches={
+                "plan": plan_cache_stats(self.graph).as_dict(),
+                "vertex_candidates": self.evalcache.stats.as_dict(),
+            },
             csr=csr_section(flat),
-            programs=programs,
+            programs=programs_section(flat),
             deltas=deltas_section(applied=flat.get("deltas_applied", 0)),
             extra={"matcher": {"calls": self.calls, "steps": self.steps}},
-            legacy={
-                "plan": caches["plan"],
-                "vertex_candidates": caches["vertex_candidates"],
-                "programs": programs,
-            },
-            hints={
-                "plan": "['caches']['plan']",
-                "vertex_candidates": "['caches']['vertex_candidates']",
-                "programs": "['programs'] and ['csr']",
-            },
-            surface="cache_info()",
         )
 
     # -- compiled routing -------------------------------------------------------

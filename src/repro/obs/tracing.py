@@ -10,7 +10,7 @@ components (engine, rewriters, evaluator) receive it explicitly;
 with ``with tracer.activate(): ...``.  The ambient tracer is a
 :class:`contextvars.ContextVar`, so concurrent requests on different
 threads (or asyncio tasks) never see each other's spans.  Work handed
-to a thread/async pool does not inherit the activation -- those
+to a thread pool does not inherit the activation -- those
 internals simply go untraced rather than racing on one span stack;
 process-pool workers run their *own* tracer and ship a compact summary
 back in the result envelope (:meth:`Tracer.summarize` /

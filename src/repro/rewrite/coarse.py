@@ -12,10 +12,11 @@ re-weight priorities between calls.
 The evaluator drains the queue in *budgeted batches* through the shared
 :class:`~repro.exec.evaluator.CandidateEvaluator`: with the default
 :class:`~repro.exec.evaluator.SerialExecutor` the batch size is 1 (the
-thesis' sequential formulation, no speculative budget spend); with a
-:class:`~repro.exec.evaluator.ParallelExecutor` the top `batch_size`
-candidates are evaluated concurrently and folded back in priority
-order, which keeps the search deterministic for a fixed batch size.
+thesis' sequential formulation, no speculative budget spend); with the
+process-backed :class:`~repro.shard.ProcessExecutor` (or an explicit
+``batch_size``) the top `batch_size` candidates are evaluated as one
+batch and folded back in priority order, which keeps the search
+deterministic for a fixed batch size.
 
 The engine purposely ignores a cardinality threshold: "this approach does
 not consider the cardinality threshold and therefore is more appropriate
@@ -142,7 +143,7 @@ class CoarseRewriter:
         on_candidate: Optional[Callable[..., None]] = None,
         tracer=None,
     ) -> None:
-        # explicit components win, then the context's spine, then fresh wiring
+        # the context's spine or explicit components, then fresh wiring
         self.graph, self.matcher, self.cache, self.statistics = resolve_spine(
             graph, context, matcher=matcher, cache=cache, statistics=statistics
         )
@@ -167,7 +168,7 @@ class CoarseRewriter:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         #: queue entries drained and evaluated per round; defaults to the
-        #: executor's preferred batch (1 serial, worker count parallel)
+        #: executor's preferred batch (1 serial, worker count for processes)
         self.batch_size = batch_size
         #: externally managed evaluation allowance (e.g. a per-request
         #: lease carved from a service-level budget pool); when given it

@@ -8,7 +8,9 @@ JSON-frame protocol of :mod:`repro.server.protocol`:
   ``id``; requests run as independent asyncio tasks over the service's
   thread pool, so replies interleave and complete out of order over one
   connection (a slow ``explain`` never blocks a fast ``count`` behind
-  it);
+  it).  A request without an id, or with an id already in flight on
+  its connection, is answered with an ``error`` frame
+  (``code: "bad-request-id"``) instead of being run;
 * **streaming partial results** -- an ``explain`` with ``stream: true``
   emits one ``candidate`` frame per evaluated rewrite candidate *while
   the search runs*, through the ``on_candidate`` seam threaded down to
@@ -67,17 +69,32 @@ __all__ = ["ThreadedServer", "WhyQueryProtocolServer", "serve_in_thread"]
 class _Connection:
     """Per-connection state: writer, identity, in-flight requests."""
 
-    __slots__ = ("writer", "write_lock", "tenant", "tasks", "cancel_tokens")
+    __slots__ = ("writer", "write_lock", "tenant", "tasks", "in_flight", "cancel_tokens")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         #: FIFO write lock: frames go out whole, in scheduling order
         self.write_lock = asyncio.Lock()
         self.tenant: Optional[str] = None
-        #: request id -> running handler task
-        self.tasks: Dict[Any, asyncio.Task] = {}
+        #: every unfinished task spawned for this connection (handlers
+        #: and error replies alike); drained before the connection closes
+        self.tasks: Set[asyncio.Task] = set()
+        #: ids of requests whose final reply has not been written yet
+        self.in_flight: Set[Any] = set()
         #: request id -> cooperative cancellation token
         self.cancel_tokens: Dict[Any, threading.Event] = {}
+
+
+#: message types that run as tracked requests and so need a fresh id
+_REQUEST_KINDS = frozenset(
+    {"put_graph", "explain", "count", "match", "stats", "metrics", "slow_queries"}
+)
+
+
+def _usable_id(conn: _Connection, rid: Any) -> bool:
+    """A request id must be present, a JSON scalar (hashable) and not in
+    flight on its connection."""
+    return rid is not None and not isinstance(rid, (list, dict)) and rid not in conn.in_flight
 
 
 class WhyQueryProtocolServer:
@@ -200,10 +217,7 @@ class WhyQueryProtocolServer:
     async def _drain_connection(self, conn: _Connection) -> None:
         """Let every in-flight request of ``conn`` finish and flush."""
         while conn.tasks:
-            tasks = list(conn.tasks.values())
-            await asyncio.gather(*tasks, return_exceptions=True)
-            for rid in [r for r, t in conn.tasks.items() if t.done()]:
-                conn.tasks.pop(rid, None)
+            await asyncio.gather(*list(conn.tasks), return_exceptions=True)
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -256,49 +270,54 @@ class WhyQueryProtocolServer:
     def _dispatch(self, conn: _Connection, message: Dict[str, Any]) -> None:
         kind = message.get("type")
         rid = message.get("id")
-        if kind == "hello":
-            task = asyncio.ensure_future(self._handle_hello(conn, message))
-        elif kind == "cancel":
+        if kind == "cancel":
             # best-effort: flip the token; the in-flight request answers
             # with a `cancelled` frame when the engine unwinds
             token = conn.cancel_tokens.get(rid)
             if token is not None:
                 token.set()
             return
+        if kind == "hello":
+            work = self._handle_hello(conn, message)
         elif kind == "shutdown":
-            task = asyncio.ensure_future(self._handle_shutdown(conn, message))
-        elif kind in (
-            "put_graph",
-            "explain",
-            "count",
-            "match",
-            "stats",
-            "metrics",
-            "slow_queries",
-        ):
+            work = self._handle_shutdown(conn, message)
+        elif kind in _REQUEST_KINDS and not _usable_id(conn, rid):
+            # a request without an id could never be matched to its reply,
+            # and a duplicate in-flight id would shadow the first request
+            self.stats_counters["errors"] += 1
+            work = self._send(
+                conn,
+                {
+                    "type": "error",
+                    "id": rid,
+                    "code": "bad-request-id",
+                    "message": (
+                        f"{kind} request needs a scalar id that is not already "
+                        f"in flight on this connection (got {rid!r})"
+                    ),
+                },
+            )
+        elif kind in _REQUEST_KINDS:
             self.stats_counters["requests"] += 1
             handler = getattr(self, f"_handle_{kind}")
+            conn.in_flight.add(rid)
             if kind == "explain":
                 conn.cancel_tokens[rid] = threading.Event()
-            task = asyncio.ensure_future(self._run_handler(conn, rid, handler, message))
-            if rid is not None:
-                conn.tasks[rid] = task
-            return
+            work = self._run_handler(conn, rid, handler, message)
         else:
             self.stats_counters["errors"] += 1
-            task = asyncio.ensure_future(
-                self._send(
-                    conn,
-                    {
-                        "type": "error",
-                        "id": rid,
-                        "code": "unknown-message",
-                        "message": f"unknown message type {kind!r}",
-                    },
-                )
+            work = self._send(
+                conn,
+                {
+                    "type": "error",
+                    "id": rid,
+                    "code": "unknown-message",
+                    "message": f"unknown message type {kind!r}",
+                },
             )
-        if rid is not None:
-            conn.tasks[rid] = task
+        task = asyncio.ensure_future(work)
+        conn.tasks.add(task)
+        task.add_done_callback(conn.tasks.discard)
 
     async def _run_handler(self, conn, rid, handler, message) -> None:
         try:
@@ -324,7 +343,7 @@ class WhyQueryProtocolServer:
                 },
             )
         finally:
-            conn.tasks.pop(rid, None)
+            conn.in_flight.discard(rid)
             conn.cancel_tokens.pop(rid, None)
 
     # -- message handlers ------------------------------------------------------

@@ -14,23 +14,12 @@ request throws the shared evaluation state away between requests; the
   evaluation stack underneath keeps all per-call state on the stack, so
   concurrent ``explain()`` calls over the same graph are safe (CPython
   dict/counter mutation is atomic under the GIL);
-* optional batched candidate evaluation: give the service a
-  :class:`~repro.exec.evaluator.ParallelExecutor` (thread overlap) or an
-  :class:`~repro.exec.async_executor.AsyncExecutor` (event-loop overlap
-  under an in-flight cap) and every rewriting search it runs drains its
-  candidates in executor-sized batches;
 * **CPU-parallel evaluation** with ``executor="process"``: every pooled
   graph gets its own :class:`~repro.shard.ProcessExecutor` (a warm
   worker-process pool built from a snapshot of that graph, optionally
   sharded via ``shards=N``), created with the graph's pool slot and
   shut down on eviction -- pure-Python rewriting work finally scales
   with cores instead of stalling on the coordinator's GIL;
-* a **native async front door** -- :meth:`WhyQueryService.explain_async`
-  / :meth:`WhyQueryService.open_session_async` -- so an asyncio
-  deployment can keep thousands of why-queries in flight: requests
-  occupy one slot of a bounded request pool while their *candidate
-  counts* overlap on the executor's event loop without one thread per
-  count;
 * **service-level admission control**: a :class:`BudgetPool` carves a
   per-request :class:`~repro.exec.evaluator.EvaluationBudget` out of a
   bounded global evaluation pool (fair-share split across the requests
@@ -50,13 +39,10 @@ request throws the shared evaluation state away between requests; the
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
@@ -80,7 +66,6 @@ from repro.persist import (
 )
 from repro.shard.process_executor import ProcessExecutor
 from repro.stats import (
-    StatsReport,
     csr_section,
     deltas_section,
     programs_section,
@@ -134,9 +119,8 @@ class AdmissionRejected(RuntimeError):
     """The budget pool could not admit the request (overload shedding).
 
     Raised by :meth:`BudgetPool.acquire` -- and propagated out of
-    :meth:`WhyQueryService.explain` / :meth:`WhyQueryService.explain_async`
-    -- when the pool is exhausted and the queue policy does not allow
-    (further) waiting.  A deployment maps this to its transport-level
+    :meth:`WhyQueryService.explain` -- when the pool is exhausted and the
+    queue policy does not allow (further) waiting.  A deployment maps this to its transport-level
     overload response (HTTP 429 / gRPC RESOURCE_EXHAUSTED).
     """
 
@@ -385,14 +369,10 @@ class WhyQueryService:
     are fixed per service and applied to every request.
 
     ``budget_pool`` switches on admission control: every ``explain()``
-    (sync or async) leases its rewriting budget from the pool and
-    returns it when done.  ``max_async_requests`` bounds the thread pool
-    behind the async front door -- the number of requests concurrently
-    *executing*; overlap of the candidate counts inside each request is
-    the executor's job.  ``context_factory`` customises how per-graph
-    contexts are built (benchmarks use it to model a storage-backed
-    evaluation stack; a deployment could use it to restore persisted
-    caches).
+    leases its rewriting budget from the pool and returns it when done.
+    ``context_factory`` customises how per-graph contexts are built
+    (benchmarks use it to model a storage-backed evaluation stack; a
+    deployment could use it to restore persisted caches).
 
     ``persist`` (a directory path or a
     :class:`~repro.persist.SnapshotStore`) switches on **warm-restart
@@ -448,7 +428,6 @@ class WhyQueryService:
         max_contexts: int = 8,
         executor: Optional[Union[BatchExecutor, str]] = None,
         budget_pool: Optional[BudgetPool] = None,
-        max_async_requests: int = 32,
         context_factory: Optional[
             Callable[[PropertyGraph], ExecutionContext]
         ] = None,
@@ -461,8 +440,6 @@ class WhyQueryService:
     ) -> None:
         if max_contexts < 1:
             raise ValueError("max_contexts must be >= 1")
-        if max_async_requests < 1:
-            raise ValueError("max_async_requests must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if process_workers < 1:
@@ -498,7 +475,6 @@ class WhyQueryService:
         self.process_workers = process_workers
         self.placement = placement
         self.budget_pool = budget_pool
-        self.max_async_requests = max_async_requests
         self.engine_options = engine_options
         self._context_factory = (
             context_factory if context_factory is not None else ExecutionContext
@@ -532,11 +508,9 @@ class WhyQueryService:
         self._lock = threading.RLock()
         if self.persist_store is not None:
             self._restore_slow_log()
-        self._request_pool: Optional[ThreadPoolExecutor] = None
         # throughput counters (monotonic over the service lifetime)
         self._explain_calls = 0
         self._session_calls = 0
-        self._async_calls = 0
         self._rejected_calls = 0
         self._contexts_created = 0
         self._evictions = 0
@@ -953,83 +927,13 @@ class WhyQueryService:
             self._session_calls += 1
         return session
 
-    # -- async front door -----------------------------------------------------
-
-    def _ensure_request_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._request_pool is None:
-                self._request_pool = ThreadPoolExecutor(
-                    max_workers=self.max_async_requests,
-                    thread_name_prefix="whyquery-request",
-                )
-            return self._request_pool
-
-    async def explain_async(
-        self,
-        graph: PropertyGraph,
-        query: GraphQuery,
-        threshold: Optional[CardinalityThreshold] = None,
-        explain: bool = True,
-        rewrite: bool = True,
-        on_candidate: Optional[Callable[..., None]] = None,
-        budget: Optional[EvaluationBudget] = None,
-        trace: Optional[bool] = None,
-    ) -> WhyQueryReport:
-        """Awaitable :meth:`explain` for asyncio deployments.
-
-        The request executes on the service's bounded request pool
-        (``max_async_requests`` slots), so thousands of concurrent
-        ``explain_async`` calls degrade to queueing instead of thousands
-        of threads; with an :class:`~repro.exec.async_executor.AsyncExecutor`
-        wired in, the candidate counts *inside* each slot overlap on the
-        executor's event loop without one thread per count.  Admission
-        control applies exactly as in :meth:`explain` --
-        :class:`AdmissionRejected` propagates through the awaitable.
-        """
-        loop = asyncio.get_running_loop()
-        with self._lock:
-            self._async_calls += 1
-        call = functools.partial(
-            self.explain,
-            graph,
-            query,
-            threshold,
-            explain=explain,
-            rewrite=rewrite,
-            on_candidate=on_candidate,
-            budget=budget,
-            trace=trace,
-        )
-        return await loop.run_in_executor(self._ensure_request_pool(), call)
-
-    async def open_session_async(
-        self,
-        graph: PropertyGraph,
-        query: GraphQuery,
-        threshold: Optional[CardinalityThreshold] = None,
-        **session_options,
-    ) -> DebugSession:
-        """Awaitable :meth:`open_session` (context warm-up off the loop).
-
-        Opening a session builds/warms the graph's pooled context, which
-        can be expensive on first touch -- this variant keeps that work
-        off the event loop.
-        """
-        loop = asyncio.get_running_loop()
-        with self._lock:
-            self._async_calls += 1
-        call = functools.partial(
-            self.open_session, graph, query, threshold, **session_options
-        )
-        return await loop.run_in_executor(self._ensure_request_pool(), call)
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the async request pool and any worker pools (idempotent).
+        """Release the per-graph worker pools (idempotent).
 
         Pooled contexts (and their warm caches) survive ``close()`` --
-        only the thread/process pools are torn down; a later request
+        only the process pools are torn down; a later request
         respawns what it needs.  With persistence configured the close
         also checkpoints, so an orderly shutdown always leaves a warm
         snapshot behind.
@@ -1037,14 +941,11 @@ class WhyQueryService:
         if self.persist_store is not None:
             self.checkpoint()
         with self._lock:
-            pool, self._request_pool = self._request_pool, None
             executors = [
                 entry.executor
                 for entry in self._pool.values()
                 if entry.executor is not None
             ]
-        if pool is not None:
-            pool.shutdown(wait=True)
         for executor in executors:
             executor.close()
 
@@ -1056,7 +957,7 @@ class WhyQueryService:
 
     # -- reporting ------------------------------------------------------------
 
-    def stats(self) -> StatsReport:
+    def stats(self) -> Dict[str, Any]:
         """Aggregated counters over all live contexts, unified schema.
 
         Emits the :mod:`repro.stats` sections -- ``caches``/``csr``/
@@ -1068,10 +969,7 @@ class WhyQueryService:
         counters) -- plus the
         service-specific ``service`` (throughput), ``matcher``,
         ``executor`` and ``per_graph`` keys.  This is exactly what the
-        protocol ``stats`` message serves.  The pre-unification keys
-        (``stats()["totals"]``, ``stats()["process_pools"]``,
-        ``stats()["explain_calls"]``, ...) stay readable for one release
-        behind a :class:`DeprecationWarning`.
+        protocol ``stats`` message serves.
         """
         admission = self.budget_pool.stats() if self.budget_pool else None
         executor_info = None
@@ -1167,7 +1065,6 @@ class WhyQueryService:
                 "requests": requests,
                 "explain_calls": self._explain_calls,
                 "session_calls": self._session_calls,
-                "async_calls": self._async_calls,
                 "rejected_calls": self._rejected_calls,
                 "contexts_live": len(self._pool),
                 "contexts_created": self._contexts_created,
@@ -1176,28 +1073,6 @@ class WhyQueryService:
                 "uptime_seconds": uptime,
                 "requests_per_second": requests / uptime if uptime > 0 else 0.0,
             }
-            totals = {
-                "result_hits": caches["results"]["hits"],
-                "result_misses": caches["results"]["misses"],
-                "candidate_hits": caches["vertex_candidates"]["hits"],
-                "candidate_misses": caches["vertex_candidates"]["misses"],
-                "matcher_calls": matcher["calls"],
-                "matcher_steps": matcher["steps"],
-                "programs_compiled": programs["compiled"],
-                "program_hits": programs["hits"],
-                "csr_builds": csr["builds"],
-                "csr_bytes": csr["bytes"],
-                "csr_patches": csr["patches"],
-                "csr_rebuilds": csr["rebuilds"],
-                "csr_evictions": csr["evictions"],
-                "deltas_applied": deltas["applied"],
-            }
-            legacy: Dict[str, object] = dict(service)
-            legacy["totals"] = totals
-            legacy["process_pools"] = pools
-            hints = {key: f"['service'][{key!r}]" for key in service}
-            hints["totals"] = "['caches']/['csr']/['programs']/['deltas']"
-            hints["process_pools"] = "['pools']"
             return unified_stats(
                 caches=caches,
                 csr=csr,
@@ -1213,7 +1088,4 @@ class WhyQueryService:
                     "per_graph": per_graph,
                     "persistence": persistence,
                 },
-                legacy=legacy,
-                hints=hints,
-                surface="WhyQueryService.stats()",
             )

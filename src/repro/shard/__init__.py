@@ -53,7 +53,7 @@ composite carrying:
 Anything a slice does not hold raises :class:`ShardMiss` instead of
 answering wrongly; the coordinator resolves missed blocks against its
 full graph (correctness first, locality second) and counts them in
-``ProcessExecutor.info()["affine_fallbacks"]``.
+``ProcessExecutor.info()["pools"]["affine_fallbacks"]``.
 
 The differential-oracle pattern
 -------------------------------
@@ -61,9 +61,9 @@ The differential-oracle pattern
 Every execution path in this package is tested *differentially* against
 the serial :class:`~repro.matching.matcher.PatternMatcher` as the
 oracle: randomized graphs and queries (seeded in-code, so failures
-reproduce) run through the serial matcher, ``ShardedMatcher`` at shard
-counts {1, 2, 4}, the thread- and asyncio-backed executors, and the
-affine slice path, asserting count value-identity and match-set
+reproduce) run through the serial matcher, the compiled matcher,
+``ShardedMatcher`` at shard counts {1, 2, 4}, and the affine slice
+path, asserting count value-identity and match-set
 permutation-identity everywhere (``tests/test_property_based.py``).
 New execution strategies should plug into that oracle helper rather
 than invent bespoke fixtures: the generator already covers multi-type

@@ -18,10 +18,12 @@ this module drives it per shard and merges:
   per-shard counts are clamped at ``limit``, and
   ``min(sum(min(c_i, L)), L) == min(sum(c_i), L)``), match sets are
   permutation-identical;
-* per-shard tasks run through any
-  :class:`~repro.exec.evaluator.BatchExecutor` (thread overlap in one
-  process); cross-process shard fan-out is
-  :meth:`repro.shard.ProcessExecutor.count_sharded`'s job.
+* per-shard tasks run through a
+  :class:`~repro.exec.evaluator.BatchExecutor` (serial by default; a
+  placement-aware affine :class:`~repro.shard.ProcessExecutor` routes
+  each block to its owning worker); cross-process shard fan-out of a
+  full snapshot is :meth:`repro.shard.ProcessExecutor.count_sharded`'s
+  job.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class ShardedMatcher:
     One :class:`~repro.matching.matcher.PatternMatcher` is bound to the
     façade (expansion crosses shard boundaries transparently -- the
     façade routes each hop to the owning shard); per-shard work differs
-    only in the first seed's pool.  ``executor`` overlaps the per-shard
+    only in the first seed's pool.  ``executor`` runs the per-shard
     tasks (any :class:`~repro.exec.evaluator.BatchExecutor`; default
     serial).  Results are merged in ascending shard order, never
     completion order, so the merge is deterministic.

@@ -1,11 +1,8 @@
 """Process-pool batch execution: CPU-parallel candidate evaluation.
 
-The thread-backed :class:`~repro.exec.evaluator.ParallelExecutor` and
-the asyncio-backed :class:`~repro.exec.async_executor.AsyncExecutor`
-overlap *blocking* evaluation time; pure-Python CPU work stays
-serialised under one GIL, which is exactly what why-query rewriting is
-(the ``cpu_only`` record in ``BENCH_micro_core.json`` documents the
-ceiling).  :class:`ProcessExecutor` escapes it: a pool of worker
+Why-query rewriting is pure-Python CPU work, so threads in one process
+stay serialised under one GIL and cannot speed it up.
+:class:`ProcessExecutor` escapes the GIL: a pool of worker
 *processes*, each holding one long-lived
 :class:`~repro.exec.context.ExecutionContext` warmed from a serialized
 snapshot of the coordinator's graph.
@@ -69,7 +66,7 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.graph import PropertyGraph
 from repro.core.query import GraphQuery
@@ -83,7 +80,7 @@ from repro.core.serialize import (
 )
 from repro.obs.tracing import SPAN_FALLBACK, SPAN_WORKER, Tracer, current_tracer
 from repro.shard.affine import canonical_edge_order
-from repro.stats import StatsReport, deltas_section, unified_stats
+from repro.stats import deltas_section, unified_stats
 
 T = TypeVar("T")
 
@@ -817,13 +814,11 @@ class ProcessExecutor:
             self._full_snapshot_bytes_version = version
         return measured
 
-    def info(self) -> StatsReport:
+    def info(self) -> Dict[str, Any]:
         """Lifetime counters in the unified stats schema.
 
         Pool lifecycle and payload accounting live under ``["pools"]``,
-        the delta-sync catch-up counters under ``["deltas"]``.  The
-        pre-unification flat keys (``info()["pool_live"]``, ...) stay
-        readable for one release behind a :class:`DeprecationWarning`.
+        the delta-sync catch-up counters under ``["deltas"]``.
 
         All counters are snapshotted under the pool lock -- the same
         lock the increment sites hold -- so a monitoring poll racing a
@@ -873,25 +868,11 @@ class ProcessExecutor:
                     "payload_ratio": (full / payload_max) if payload_max else 0.0,
                 }
             )
-        legacy = dict(pools)
-        if self.placement_mode == "affine":
-            legacy["worker_catchups"] = worker_catchups
-            legacy["delta_bytes"] = delta_bytes
         return unified_stats(
             pools=pools,
             deltas=deltas_section(
                 bytes=delta_bytes, worker_catchups=worker_catchups
             ),
-            legacy=legacy,
-            hints={
-                key: (
-                    "['deltas']"
-                    if key in ("worker_catchups", "delta_bytes")
-                    else f"['pools'][{key!r}]"
-                )
-                for key in legacy
-            },
-            surface="ProcessExecutor.info()",
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

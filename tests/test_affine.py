@@ -315,7 +315,7 @@ class TestAffineProcessExecutor:
         assert affine_executor.supports_queries
         assert affine_executor.supports_placement
         assert affine_executor.placement_mode == "affine"
-        info = affine_executor.info()
+        info = affine_executor.info()["pools"]
         assert info["placement"] == "affine"
         assert info["placement_map"] == {0: 0, 1: 1, 2: 0, 3: 1}
 
@@ -410,7 +410,7 @@ class TestAffineProcessExecutor:
             mismatched.count(typed_query("person", "workAt"))
 
     def test_payload_accounting(self, affine_executor):
-        info = affine_executor.info()
+        info = affine_executor.info()["pools"]
         assert len(info["payload_bytes_per_worker"]) == 2
         assert all(b > 0 for b in info["payload_bytes_per_worker"])
         assert info["payload_bytes_max"] == max(info["payload_bytes_per_worker"])
@@ -432,7 +432,7 @@ class TestAffineProcessExecutor:
             g.add_edge(c, b, "workAt")
             assert executor.run_queries([query]) == [2]
             assert executor.pool_rebuilds == rebuilds + 1
-            assert executor.info()["snapshot_version"] == g.version
+            assert executor.info()["pools"]["snapshot_version"] == g.version
 
     def test_submit_block_requires_affine(self, affine_graph):
         with ProcessExecutor(affine_graph, max_workers=1) as executor:
@@ -504,7 +504,7 @@ class TestServiceAffinePlacement:
             stats = service.stats()
         assert report.problem is CardinalityProblem.EMPTY
         assert self.explanation_key(report) == self.explanation_key(reference)
-        pools = stats["process_pools"]
+        pools = stats["pools"]
         assert pools["placement"] == "affine"
         assert pools["queries_shipped"] > 0
         assert pools["payload_bytes"] > 0

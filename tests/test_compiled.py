@@ -277,8 +277,8 @@ class TestCounters:
         compiled = PatternMatcher(tiny_graph, compiled=True)
         compiled.count(two_hop)
         info = compiled.cache_info()
-        assert info["programs"]["programs_compiled"] >= 1
-        assert info["programs"]["csr_bytes"] > 0
+        assert info["programs"]["compiled"] >= 1
+        assert info["csr"]["bytes"] > 0
 
     def test_stats_are_zero_before_any_build(self):
         g = PropertyGraph()

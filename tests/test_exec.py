@@ -9,7 +9,6 @@ from repro.exec import (
     CandidateEvaluator,
     EvaluationBudget,
     ExecutionContext,
-    ParallelExecutor,
     SerialExecutor,
     execution_context,
 )
@@ -81,9 +80,8 @@ class TestExecutionContext:
         assert set(report["caches"]) == {"plan", "vertex_candidates", "results"}
         assert report["caches"]["results"]["misses"] == 1
         assert report["matcher"]["calls"] == 1
-        # the pre-unification keys stay readable behind the shim
-        with pytest.warns(DeprecationWarning):
-            assert report["results"]["misses"] == 1
+        # the pre-unification top-level keys are gone
+        assert "results" not in report
 
     def test_mismatched_matcher_rejected(self, tiny_graph):
         other = PropertyGraph()
@@ -226,7 +224,9 @@ class TestCandidateEvaluator:
         assert ctx.cache.stats.hits == 0
 
     def test_serial_and_parallel_identical_result_sets(self, tiny_graph):
-        """Acceptance: executor choice never changes evaluation results."""
+        """Batching never changes evaluation results: one batch of every
+        variant (the shape a multi-worker executor evaluates) equals
+        evaluating the variants one per batch."""
         failed = typed_query("person", "missingEdgeType")
         variants = []
         for op in coarse_relaxations(failed):
@@ -237,22 +237,24 @@ class TestCandidateEvaluator:
                 continue
             variants.append(child)
         assert len(variants) >= 4
-        serial_ctx = ExecutionContext(tiny_graph)
-        parallel_ctx = ExecutionContext(tiny_graph)
-        serial_results = CandidateEvaluator(
-            serial_ctx.cache, executor=SerialExecutor()
-        ).evaluate(variants)
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel_results = CandidateEvaluator(
-                parallel_ctx.cache, executor=pool
-            ).evaluate(variants)
+        one_by_one = CandidateEvaluator(
+            ExecutionContext(tiny_graph).cache, executor=SerialExecutor()
+        )
+        single_results = [
+            item for query in variants for item in one_by_one.evaluate([query])
+        ]
+        batched = CandidateEvaluator(
+            ExecutionContext(tiny_graph).cache, executor=SerialExecutor()
+        )
+        batched_results = batched.evaluate(variants)
+        assert (one_by_one.batches, batched.batches) == (len(variants), 1)
         as_set = lambda rs: sorted(
             (repr(r.query.signature()), r.cardinality) for r in rs
         )
-        assert as_set(serial_results) == as_set(parallel_results)
+        assert as_set(single_results) == as_set(batched_results)
         # ... and in fact in identical (deterministic submission) order
-        assert [r.cardinality for r in serial_results] == [
-            r.cardinality for r in parallel_results
+        assert [r.cardinality for r in single_results] == [
+            r.cardinality for r in batched_results
         ]
 
     def test_counter_without_count_rejected(self):
@@ -300,32 +302,40 @@ class TestEnginesShareOneContext:
 
 class TestBatchedEngines:
     def test_coarse_rewriter_parallel_executor_same_explanations(self, tiny_graph):
-        """At equal batch size the drain trajectory is executor-independent:
-        the thread pool must not change what the search finds."""
+        """At equal batch size the drain trajectory is fixed: an explicit
+        ``batch_size`` and an executor whose preferred batch is that size
+        (what a multi-worker executor advertises) find the same thing."""
+
+        class BatchedSerialExecutor(SerialExecutor):
+            preferred_batch = 4
+
         failed = typed_query("person", "missingEdgeType")
-        serial = CoarseRewriter(
+        explicit = CoarseRewriter(
             context=ExecutionContext(tiny_graph), max_evaluations=100, batch_size=4
         ).rewrite(failed, k=3)
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel = CoarseRewriter(
-                context=ExecutionContext(tiny_graph),
-                executor=pool,
-                max_evaluations=100,
-            ).rewrite(failed, k=3)
+        preferred = CoarseRewriter(
+            context=ExecutionContext(tiny_graph),
+            executor=BatchedSerialExecutor(),
+            max_evaluations=100,
+        ).rewrite(failed, k=3)
         key = lambda r: (repr(r.query.signature()), r.cardinality)
-        assert serial.evaluated == parallel.evaluated
-        assert sorted(map(key, serial.explanations)) == sorted(
-            map(key, parallel.explanations)
+        assert explicit.evaluated == preferred.evaluated
+        assert sorted(map(key, explicit.explanations)) == sorted(
+            map(key, preferred.explanations)
         )
         # same trajectory -> same discovery order, not just the same set
-        assert list(map(key, serial.discovered)) == list(
-            map(key, parallel.discovered)
+        assert list(map(key, explicit.discovered)) == list(
+            map(key, preferred.discovered)
         )
 
     def test_coarse_rewriter_batch_size_follows_executor(self, tiny_graph):
+        class BatchedSerialExecutor(SerialExecutor):
+            preferred_batch = 6
+
         assert CoarseRewriter(tiny_graph).batch_size == 1
-        with ParallelExecutor(max_workers=6) as pool:
-            assert CoarseRewriter(tiny_graph, executor=pool).batch_size == 6
+        batched = BatchedSerialExecutor()
+        assert CoarseRewriter(tiny_graph, executor=batched).batch_size == 6
+        assert CoarseRewriter(tiny_graph, executor=batched, batch_size=2).batch_size == 2
         assert CoarseRewriter(tiny_graph, batch_size=3).batch_size == 3
         with pytest.raises(ValueError):
             CoarseRewriter(tiny_graph, batch_size=0)
@@ -336,23 +346,23 @@ class TestBatchedEngines:
         query = typed_query("person", "workAt")
         threshold = CardinalityThreshold.at_least(4)
         serial = TraverseSearchTreeRun(tiny_graph, threshold, None).run(query)
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel = TraverseSearchTreeRun(tiny_graph, threshold, pool).run(query)
-        assert serial.best_cardinality == parallel.best_cardinality
-        assert serial.converged == parallel.converged
-        assert serial.best_query.signature() == parallel.best_query.signature()
+        batched = TraverseSearchTreeRun(tiny_graph, threshold, 4).run(query)
+        assert serial.best_cardinality == batched.best_cardinality
+        assert serial.converged == batched.converged
+        assert serial.best_query.signature() == batched.best_query.signature()
 
 
 class TraverseSearchTreeRun:
-    """Helper wiring one isolated TST run (serial or parallel)."""
+    """Helper wiring one isolated serial TST run (``batch_size`` ``None``
+    drains one sibling at a time; larger sizes drain sibling batches)."""
 
-    def __init__(self, graph, threshold, executor):
+    def __init__(self, graph, threshold, batch_size):
         from repro.finegrained import TraverseSearchTree
 
         self.engine = TraverseSearchTree(
             context=ExecutionContext(graph),
             threshold=threshold,
-            executor=executor,
+            batch_size=batch_size,
             max_evaluations=100,
         )
 

@@ -2,9 +2,8 @@
 metric invariants, plus the **randomized differential oracle suite**:
 seeded random graphs and queries run through every execution path --
 serial ``PatternMatcher`` (the oracle), the compiled CSR backend,
-``ShardedMatcher`` at shard counts {1, 2, 4}, the thread-backed
-``ParallelExecutor``, the asyncio-backed ``AsyncExecutor``, the
-shard-affine slice path and the compiled shard-affine slice path --
+``ShardedMatcher`` at shard counts {1, 2, 4}, the shard-affine slice
+path, the compiled shard-affine slice path and the wire protocol --
 asserting count value-identity and match-set permutation-identity
 everywhere.  Seeds are fixed in-code so every failure reproduces."""
 
@@ -25,7 +24,6 @@ from repro.core import (
     one_of,
 )
 from repro.core.predicates import predicate_distance
-from repro.exec import AsyncExecutor, ParallelExecutor
 from repro.matching import PatternMatcher, csr_stats
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.cardinality import CardinalityThreshold, cardinality_distance
@@ -413,20 +411,8 @@ def traced_count_kinds(matcher_like, query):
 
 
 @pytest.fixture(scope="module")
-def thread_pool():
-    with ParallelExecutor(max_workers=4) as pool:
-        yield pool
-
-
-@pytest.fixture(scope="module")
-def async_pool():
-    with AsyncExecutor(max_in_flight=8) as pool:
-        yield pool
-
-
-@pytest.fixture(scope="module")
 def wire_client():
-    """A protocol client against a live in-process server (path 7)."""
+    """A protocol client against a live in-process server (path 6)."""
     from repro.client import connect
     from repro.server import serve_in_thread
 
@@ -437,9 +423,7 @@ def wire_client():
     handle.stop()
 
 
-def assert_paths_agree(
-    graph, query, injective, thread_pool, async_pool, limits=(1, 3), client=None
-):
+def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
     """The single oracle assertion: every execution path must agree with
     the serial matcher on counts (value-identity), match sets
     (permutation-identity) and bounded counts (value-identity)."""
@@ -449,7 +433,7 @@ def assert_paths_agree(
     expected_matches = match_key(oracle.match(query))
     expected_bounded = {limit: oracle.count(query, limit=limit) for limit in limits}
 
-    # path 7: the wire protocol -- graph and query serialised over the
+    # path 6: the wire protocol -- graph and query serialised over the
     # frame protocol, matched by the server's pooled context, results
     # deserialised back (value-identity through two JSON round-trips)
     if client is not None:
@@ -466,7 +450,7 @@ def assert_paths_agree(
                 == bounded
             ), (sig, limit)
 
-    # path 1b: the compiled CSR backend against the same serial oracle.
+    # path 2: the compiled CSR backend against the same serial oracle.
     # The generated kernels must not only agree on values -- on the
     # unbounded count they must visit *exactly* the interpreter's
     # candidates (steps value-identity), which pins the search order
@@ -485,26 +469,14 @@ def assert_paths_agree(
         sharded_graph = GraphPartitioner(num_shards).partition(graph)
         context = (num_shards, query.signature())
 
-        # path 2: per-shard fan-out with deterministic ascending merge
+        # path 3: per-shard fan-out with deterministic ascending merge
         sharded = ShardedMatcher(sharded_graph, injective=injective)
         assert sharded.count(query) == expected_count, context
         assert match_key(sharded.match(query)) == expected_matches, context
         for limit, bounded in expected_bounded.items():
             assert sharded.count(query, limit=limit) == bounded, (context, limit)
 
-        # path 3: the same fan-out through the thread-backed executor
-        threaded = ShardedMatcher(
-            sharded_graph, injective=injective, executor=thread_pool
-        )
-        assert threaded.count(query) == expected_count, context
-
-        # path 4: the same fan-out through the asyncio-backed executor
-        async_sharded = ShardedMatcher(
-            sharded_graph, injective=injective, executor=async_pool
-        )
-        assert async_sharded.count(query) == expected_count, context
-
-        # path 5: shard-affine placement -- per-shard wire payloads,
+        # path 4: shard-affine placement -- per-shard wire payloads,
         # slice-local evaluation, coordinator fallback on misses (the
         # identical code path the affine ProcessExecutor workers run,
         # minus the process boundary; the boundary itself is covered by
@@ -519,7 +491,7 @@ def assert_paths_agree(
         for limit, bounded in expected_bounded.items():
             assert affine.count(query, limit=limit) == bounded, (context, limit)
 
-        # path 6: the same slice-local evaluation with every per-slice
+        # path 5: the same slice-local evaluation with every per-slice
         # matcher (and the coordinator fallback) running the compiled
         # backend -- partial-graph CSR builds, ShardMiss propagation out
         # of generated kernels, seed-range clamps, all compiled
@@ -601,16 +573,14 @@ def random_mutations(rng: random.Random, graph: PropertyGraph, k: int) -> None:
 
 class TestMutateBetweenQueries:
     """Delta-sync oracle: random deltas interleaved between query
-    rounds.  After every mutation batch all eight execution paths must
+    rounds.  After every mutation batch all six execution paths must
     re-agree on the mutated graph, and one *persistent* compiled
     matcher -- whose shared CSR entry follows the graph via in-place
     patches, never a rebuild -- must stay count- and steps-identical to
     a fresh interpreter."""
 
     @pytest.mark.parametrize("seed", MUTATION_SEEDS)
-    def test_paths_agree_across_mutations(
-        self, seed, thread_pool, async_pool, wire_client
-    ):
+    def test_paths_agree_across_mutations(self, seed, wire_client):
         rng = random.Random(10_000 + seed)
         graph = random_differential_graph(rng)
         injective = rng.random() < 0.8
@@ -620,9 +590,7 @@ class TestMutateBetweenQueries:
             query = random_differential_query(rng)
             # the wire path re-uploads after every mutation batch, so the
             # mutated graph's serialised form is part of the oracle too
-            assert_paths_agree(
-                graph, query, injective, thread_pool, async_pool, client=wire_client
-            )
+            assert_paths_agree(graph, query, injective, client=wire_client)
             # the persistent matcher evaluates over the patched arrays
             # and the retained programs; the kernels must still visit
             # exactly a fresh interpreter's candidates
@@ -661,20 +629,18 @@ class TestMutateBetweenQueries:
 
 
 class TestDifferentialOracle:
-    """Acceptance: >= 100 seeded random cases, seven execution paths
-    (serial, compiled, sharded 1/2/4, thread, async, affine,
-    affine-compiled), zero divergences."""
+    """Acceptance: >= 100 seeded random cases, six execution paths
+    (serial, compiled, sharded 1/2/4, affine, affine-compiled, wire),
+    zero divergences."""
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
-    def test_all_execution_paths_agree(self, seed, thread_pool, async_pool, wire_client):
+    def test_all_execution_paths_agree(self, seed, wire_client):
         rng = random.Random(seed)
         graph = random_differential_graph(rng)
         query = random_differential_query(rng)
         # a sprinkle of homomorphic cases: self-loops behave differently
         injective = rng.random() < 0.8
-        assert_paths_agree(
-            graph, query, injective, thread_pool, async_pool, client=wire_client
-        )
+        assert_paths_agree(graph, query, injective, client=wire_client)
 
     def test_generator_covers_the_adversarial_features(self):
         """The generator must actually produce the layouts the suite

@@ -18,6 +18,7 @@ import pytest
 from repro.core.graph import PropertyGraph
 from repro.core.predicates import equals
 from repro.core.query import GraphQuery
+from repro.core.serialize import query_to_dict
 from repro.client import (
     ExplainStream,
     RequestRejected,
@@ -426,6 +427,78 @@ class TestDrain:
             assert any(f.get("code") == "protocol" for f in frames)
         finally:
             sock.close()
+
+
+def _raw_exchange(address, frames):
+    """Send ``frames`` in one write and read every reply until EOF."""
+    sock = socket.create_connection(address)
+    try:
+        sock.sendall(b"".join(encode_frame(f) for f in frames))
+        decoder = FrameDecoder()
+        replies = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return replies
+            replies.extend(decoder.feed(data))
+    finally:
+        sock.close()
+
+
+class TestRequestIds:
+    """Every request read before ``goodbye`` gets a final reply before it:
+    a missing or duplicate in-flight id is answered with an error frame
+    instead of being run and then lost."""
+
+    @pytest.fixture()
+    def handle(self):
+        handle = serve_in_thread(graphs={"g": small_graph()})
+        yield handle
+        handle.stop()
+
+    def test_duplicate_in_flight_id_is_rejected_not_lost(self, handle):
+        from repro.client import _explain_request
+
+        replies = _raw_exchange(
+            handle.address,
+            [
+                {"type": "hello", "protocol": 1},
+                _explain_request(7, "g", failing_query(), None, True, True, False),
+                {"type": "count", "id": 7, "graph": "g",
+                 "query": query_to_dict(matching_query())},
+                {"type": "goodbye"},
+            ],
+        )
+        assert replies[-1]["type"] == "goodbye"
+        finals = [r for r in replies[:-1] if r.get("id") == 7]
+        assert sorted(r["type"] for r in finals) == ["error", "result"]
+        result = next(r for r in finals if r["type"] == "result")
+        assert result["report"]["problem"] == "why-empty"
+        error = next(r for r in finals if r["type"] == "error")
+        assert error["code"] == "bad-request-id"
+
+    @pytest.mark.parametrize("rid", ["missing", [7]])
+    def test_missing_id_is_answered_before_goodbye(self, handle, rid):
+        from repro.client import _explain_request
+
+        request = _explain_request(0, "g", failing_query(), None, True, True, False)
+        if rid == "missing":
+            del request["id"]
+        else:
+            request["id"] = rid
+        replies = _raw_exchange(
+            handle.address, [request, {"type": "goodbye"}]
+        )
+        assert [r["type"] for r in replies] == ["error", "goodbye"]
+        assert replies[0]["code"] == "bad-request-id"
+        assert replies[0]["id"] == (None if rid == "missing" else rid)
+
+    def test_id_is_reusable_once_answered(self, handle):
+        with connect(*handle.address) as c:
+            for _ in range(2):
+                c._send({"type": "count", "id": 5, "graph": "g",
+                         "query": query_to_dict(matching_query())})
+                assert c._next_frame(5)["count"] == 2
 
 
 class TestShutdownMessage:

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import GraphQuery, PropertyGraph, equals
-from repro.exec import ExecutionContext, ParallelExecutor
+from repro.exec import ExecutionContext, SerialExecutor
 from repro.metrics import CardinalityProblem, CardinalityThreshold
 from repro.service import WhyQueryService
 
@@ -59,12 +59,12 @@ class TestContextPool:
         service.context_for(graphs[2])  # evicts graph 1, not graph 0
         assert len(service) == 2
         assert service.context_for(graphs[0]) is first
-        stats = service.stats()
+        stats = service.stats()["service"]
         assert stats["evictions"] == 1
         assert stats["contexts_created"] == 3
         # graph 1 returns -> a cold, fresh context (created anew)
         service.context_for(graphs[1])
-        assert service.stats()["contexts_created"] == 4
+        assert service.stats()["service"]["contexts_created"] == 4
 
     def test_eviction_releases_the_graph(self):
         import weakref
@@ -180,32 +180,33 @@ class TestRequests:
         service.explain(tiny_graph, failing_query())
         service.open_session(tiny_graph, failing_query())
         stats = service.stats()
-        assert stats["requests"] == 2
-        assert stats["explain_calls"] == 1
-        assert stats["session_calls"] == 1
-        assert stats["contexts_live"] == 1
-        assert stats["busy_seconds"] > 0
-        assert stats["totals"]["matcher_calls"] > 0
+        throughput = stats["service"]
+        assert throughput["requests"] == 2
+        assert throughput["explain_calls"] == 1
+        assert throughput["session_calls"] == 1
+        assert throughput["contexts_live"] == 1
+        assert throughput["busy_seconds"] > 0
+        assert stats["matcher"]["calls"] > 0
         assert stats["per_graph"][0]["requests"] == 2
 
     def test_compiled_counters_flow_into_stats(self, tiny_graph):
-        """Satellite (ISSUE 6): the compilation counters of every pooled
-        context's graph aggregate into the service totals."""
+        """The compilation counters of every pooled context's graph
+        aggregate into the service's ``programs``/``csr`` sections."""
 
         def factory(graph):
             return ExecutionContext(graph, compiled=True)
 
         service = WhyQueryService(context_factory=factory)
         service.explain(tiny_graph, failing_query())
-        totals = service.stats()["totals"]
-        assert totals["programs_compiled"] > 0
-        assert totals["csr_builds"] > 0
-        assert totals["csr_bytes"] > 0
+        stats = service.stats()
+        assert stats["programs"]["compiled"] > 0
+        assert stats["csr"]["builds"] > 0
+        assert stats["csr"]["bytes"] > 0
         # drive one repeat evaluation through the pooled context: the
         # program cache must serve it
         service.context_for(tiny_graph).matcher.count(failing_query())
         service.context_for(tiny_graph).matcher.count(failing_query())
-        assert service.stats()["totals"]["program_hits"] > 0
+        assert service.stats()["programs"]["hits"] > 0
 
     def test_interpreted_service_reports_zero_compiled_counters(self, tiny_graph):
         def factory(graph):
@@ -213,9 +214,9 @@ class TestRequests:
 
         service = WhyQueryService(context_factory=factory)
         service.explain(tiny_graph, failing_query())
-        totals = service.stats()["totals"]
-        assert totals["programs_compiled"] == 0
-        assert totals["program_hits"] == 0
+        programs = service.stats()["programs"]
+        assert programs["compiled"] == 0
+        assert programs["hits"] == 0
 
 
 class TestConcurrency:
@@ -241,7 +242,7 @@ class TestConcurrency:
                 )
                 == ref_key
             )
-        assert service.stats()["explain_calls"] == 9
+        assert service.stats()["service"]["explain_calls"] == 9
         assert len(service) == 1
 
     def test_concurrent_explains_many_graphs_with_eviction(self):
@@ -254,19 +255,23 @@ class TestConcurrency:
             )
         assert all(r.problem == CardinalityProblem.EMPTY for r in reports)
         assert len(service) <= 3
-        stats = service.stats()
+        stats = service.stats()["service"]
         assert stats["explain_calls"] == 12
         assert stats["evictions"] >= 3
 
     def test_parallel_executor_service_deterministic(self, tiny_graph):
-        """A service draining rewrite candidates in parallel batches is
-        deterministic across requests, and its explanations are genuine
-        (non-empty rewritings of the empty query)."""
+        """A service draining rewrite candidates in batches of 4 (the
+        shape a 4-worker process executor drains in, here evaluated
+        serially) is deterministic across requests, and its explanations
+        are genuine (non-empty rewritings of the empty query)."""
+
+        class BatchedSerialExecutor(SerialExecutor):
+            preferred_batch = 4
+
         query = failing_query()
-        with ParallelExecutor(max_workers=4) as pool:
-            parallel_service = WhyQueryService(executor=pool)
-            first = parallel_service.explain(tiny_graph, query)
-            second = parallel_service.explain(tiny_graph, query)
+        batched_service = WhyQueryService(executor=BatchedSerialExecutor())
+        first = batched_service.explain(tiny_graph, query)
+        second = batched_service.explain(tiny_graph, query)
         key = lambda rep: [
             (repr(r.query.signature()), r.cardinality)
             for r in rep.rewriting.discovered

@@ -22,7 +22,6 @@ from repro.exec import (
     CandidateEvaluator,
     EvaluationBudget,
     ExecutionContext,
-    ParallelExecutor,
     SerialExecutor,
 )
 from repro.finegrained import TraverseSearchTree
@@ -291,18 +290,6 @@ class TestShardedMatcher:
         assert merged is None
         assert all(block is None for block in per_shard.values())
 
-    def test_thread_executor_same_results(self, tiny_graph):
-        serial = ShardedMatcher(GraphPartitioner(4).partition(tiny_graph))
-        with ParallelExecutor(max_workers=4) as pool:
-            threaded = ShardedMatcher(
-                GraphPartitioner(4).partition(tiny_graph), executor=pool
-            )
-            query = typed_query("person", "workAt")
-            assert result_key(threaded.match(query)) == result_key(
-                serial.match(query)
-            )
-            assert threaded.count(query) == serial.count(query)
-
     def test_requires_sharded_graph(self, tiny_graph):
         with pytest.raises(TypeError):
             ShardedMatcher(tiny_graph)
@@ -413,7 +400,7 @@ class TestProcessExecutor:
             g.add_edge(c, b, "workAt")
             assert executor.run_queries([query]) == [2]
             assert executor.pool_rebuilds == rebuilds + 1
-            assert executor.info()["snapshot_version"] == g.version
+            assert executor.info()["pools"]["snapshot_version"] == g.version
 
     def test_generic_thunks_fall_back_in_process(self, process_executor):
         assert process_executor.run([lambda: 1, lambda: 2]) == [1, 2]
@@ -558,7 +545,7 @@ class TestServiceProcessMode:
     def test_explain_matches_serial_service(self, process_graph):
         """process_workers=1 -> preferred batch 1 -> every request walks
         the serial trajectory, so the reports must match the plain
-        service exactly (same construction as the async batch-1 test)."""
+        service exactly (batch 1 is the serial trajectory)."""
         query = self.failing_query()
         reference = WhyQueryService().explain(process_graph, query)
         with WhyQueryService(executor="process", process_workers=1) as service:
@@ -566,7 +553,7 @@ class TestServiceProcessMode:
             stats = service.stats()
         assert report.problem is CardinalityProblem.EMPTY
         assert self.explanation_key(report) == self.explanation_key(reference)
-        pools = stats["process_pools"]
+        pools = stats["pools"]
         assert pools["pools_live"] == 1
         assert pools["workers"] == 1
         assert pools["queries_shipped"] > 0
@@ -590,10 +577,10 @@ class TestServiceProcessMode:
             for r in reports
             for x in r.rewriting.explanations
         )
-        pools = stats["process_pools"]
+        pools = stats["pools"]
         assert pools["workers"] == 2
         assert pools["shards_per_pool"] == 2
-        assert stats["per_graph"][0]["process_pool"]["max_workers"] == 2
+        assert stats["per_graph"][0]["process_pool"]["pools"]["max_workers"] == 2
 
     def test_eviction_closes_worker_pool(self, process_graph):
         other = PropertyGraph()
@@ -606,13 +593,13 @@ class TestServiceProcessMode:
         ) as service:
             service.explain(process_graph, query)
             first_entry = service._pool[id(process_graph)]
-            assert first_entry.executor.info()["pool_live"]
+            assert first_entry.executor.info()["pools"]["pool_live"]
             service.explain(other, query)
             stats = service.stats()
             # the first graph's slot was evicted and its pool shut down
-            assert stats["evictions"] == 1
-            assert not first_entry.executor.info()["pool_live"]
-            assert stats["process_pools"]["pools_live"] == 1
+            assert stats["service"]["evictions"] == 1
+            assert not first_entry.executor.info()["pools"]["pool_live"]
+            assert stats["pools"]["pools_live"] == 1
 
     def test_worker_semantics_follow_context_factory(self, process_graph):
         """A context_factory changing matcher semantics (homomorphic
@@ -653,10 +640,10 @@ class TestServiceProcessMode:
             assert entry.executor.run_queries(
                 [typed_query("person", "studyAt")]
             ) == [6]
-            assert entry.executor.info()["pool_live"]
+            assert entry.executor.info()["pools"]["pool_live"]
             # dropping the last lease closes the retired pool
             service._release_entry(entry)
-            assert not entry.executor.info()["pool_live"]
+            assert not entry.executor.info()["pools"]["pool_live"]
 
     def test_unknown_executor_string_rejected(self):
         with pytest.raises(ValueError):

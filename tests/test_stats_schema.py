@@ -2,10 +2,11 @@
 
 All three metrics surfaces -- ``PatternMatcher.cache_info()``,
 ``ProcessExecutor.info()`` and ``WhyQueryService.stats()`` -- must emit
-the :mod:`repro.stats` schema (``schema`` marker plus the six typed
-sections), with the pre-unification flat keys readable for one release
-behind a :class:`DeprecationWarning`, and the whole report must survive
-the JSON round-trip the protocol ``stats`` message performs.
+the :mod:`repro.stats` schema (``schema`` marker plus the seven typed
+sections) as a plain ``dict``, the pre-unification flat keys must be
+gone (their deprecation window closed with 2.0), and the whole report
+must survive the JSON round-trip the protocol ``stats`` message
+performs.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def assert_unified(report) -> None:
         assert section in report, section
 
 
-class TestStatsReport:
+class TestUnifiedStats:
     def test_sections_always_present(self):
         report = unified_stats()
         assert_unified(report)
@@ -56,21 +57,22 @@ class TestStatsReport:
         assert report["programs"]["compiled"] == 0
         assert report["deltas"]["applied"] == 0
 
-    def test_legacy_key_warns_and_returns(self):
-        report = unified_stats(legacy={"old_key": 42})
-        with pytest.warns(DeprecationWarning, match="old_key"):
-            assert report["old_key"] == 42
+    def test_report_is_a_plain_dict(self):
+        report = unified_stats(caches={"plan": {"hits": 1}})
+        assert type(report) is dict
+        assert type(report["caches"]) is dict
 
     def test_unknown_key_still_raises(self):
-        report = unified_stats(legacy={"old_key": 42})
+        report = unified_stats()
         with pytest.raises(KeyError):
             report["never_existed"]
+        assert report.get("never_existed") is None
 
     def test_iteration_and_json_see_only_unified_keys(self):
-        report = unified_stats(legacy={"old_key": 42})
-        assert "old_key" not in set(report)
+        report = unified_stats(extra={"matcher": {"calls": 0}})
+        assert set(report) == {"schema", *SECTIONS, "matcher"}
         round_tripped = json.loads(json.dumps(report))
-        assert "old_key" not in round_tripped
+        assert round_tripped == report
         assert_unified(round_tripped)
 
 
@@ -87,16 +89,13 @@ class TestMatcherSurface:
         assert info["csr"]["builds"] >= 1
         assert info["matcher"]["calls"] == 2
 
-    def test_cache_info_legacy_shim(self):
+    def test_cache_info_has_no_legacy_keys(self):
         matcher = PatternMatcher(tiny_graph(), compiled=True)
         matcher.count(typed_query())
         info = matcher.cache_info()
-        with pytest.warns(DeprecationWarning):
-            plan = info["plan"]
-        assert plan == info["caches"]["plan"]
-        # the nested programs section keeps its own pre-unification keys
-        with pytest.warns(DeprecationWarning):
-            assert info["programs"]["programs_compiled"] == info["programs"]["compiled"]
+        for key in ("plan", "vertex_candidates"):
+            assert key not in info
+        assert set(info["programs"]) == {"compiled", "hits"}
 
 
 class TestServiceSurface:
@@ -111,12 +110,13 @@ class TestServiceSurface:
             payload = json.loads(json.dumps(stats))
             assert_unified(payload)
 
-    def test_stats_legacy_shim(self):
+    def test_stats_has_no_legacy_keys(self):
         with WhyQueryService() as service:
             service.explain(tiny_graph(), typed_query(), explain=False, rewrite=False)
             stats = service.stats()
-            with pytest.warns(DeprecationWarning):
-                assert stats["explain_calls"] == stats["service"]["explain_calls"]
+            for key in ("totals", "process_pools", "explain_calls"):
+                assert key not in stats
+            assert "async_calls" not in stats["service"]
 
     def test_unified_consumers_do_not_warn(self):
         """Reading only unified keys must be warning-free (the migrated
@@ -146,27 +146,28 @@ class TestExecutorSurface:
         finally:
             executor.close()
 
-    def test_info_legacy_shim(self):
+    def test_info_has_no_legacy_keys(self):
         from repro.shard import ProcessExecutor
 
         executor = ProcessExecutor(tiny_graph(), max_workers=1)
         try:
             info = executor.info()
-            with pytest.warns(DeprecationWarning):
-                assert info["max_workers"] == info["pools"]["max_workers"]
+            for key in ("max_workers", "pool_live", "worker_catchups"):
+                assert key not in info
         finally:
             executor.close()
 
 
 class TestWiringDeprecation:
-    def test_component_override_alongside_context_warns(self):
+    def test_component_override_alongside_context_raises(self):
         from repro.exec import ExecutionContext
         from repro.exec.wiring import resolve_spine
 
         g = tiny_graph()
         ctx = ExecutionContext(g)
-        with pytest.warns(DeprecationWarning, match="ExecutionContext"):
-            resolve_spine(None, ctx, matcher=ctx.matcher)
+        for component in ("matcher", "cache", "statistics"):
+            with pytest.raises(ValueError, match="ExecutionContext"):
+                resolve_spine(None, ctx, **{component: getattr(ctx, component)})
 
     def test_plain_wiring_does_not_warn(self):
         from repro.exec import ExecutionContext

@@ -37,7 +37,6 @@ def baseline_payload() -> dict:
             "rewrite_batch": {"speedup": 8.0},
             "program_cache": {},
         },
-        "candidate_batch": {"speedup_32": 6.0, "batches": {"32": {"serial_s": 1.0}}},
         "process_pool": {
             "cpu_cores": 2,
             "workers_cap": 2,
@@ -87,10 +86,10 @@ class TestOffendingSections:
             "process_pool.workers",
             "process_pool.workers.2",
             "process_pool.workers.2.speedup",
-            "candidate_batch.speedup_32",
+            "observability.enabled_ratio",
         }
         assert offending_sections(paths) == [
-            "candidate_batch.speedup_32",
+            "observability.enabled_ratio",
             "process_pool",
         ]
 
