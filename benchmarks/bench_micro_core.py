@@ -6,17 +6,15 @@ the cache.
 
 ``test_micro_emit_machine_readable`` additionally writes
 ``BENCH_micro_core.json`` at the repository root: per-op wall-clock
-timings plus the matcher ``steps`` counters of a type-constrained
-expansion workload, evaluated once with the type-partitioned adjacency
-and once with the pre-optimisation full-scan expansion
-(``typed_adjacency=False``), plus the interpreter-vs-compiled matching
+timings plus the matcher ``steps`` counter of a type-constrained
+expansion workload over the type-partitioned adjacency, plus the
+interpreter-vs-compiled matching
 record (``compiled_match``: the compiled CSR backend against the
 interpreter on the same typed-expansion workload and on the 32-variant
 rewrite batch, with the program-cache counters -- single-core, pure
 CPU, gated at >= 2x), the pure-CPU process-pool batch workload
 (``process_pool``: ``ProcessExecutor`` vs ``SerialExecutor``), the
-intra-query shard fan-out (``sharded_expansion``: one heavy count split
-across worker-process shard blocks) and the shard-affine placement
+shard-affine placement
 record (``affine_placement``: per-worker wire-payload bytes under
 affine placement vs the full snapshot every full-mode worker receives
 -- deterministic, gated at >= 2x smaller at 4 shards -- next to the
@@ -65,7 +63,7 @@ from repro.metrics.syntactic import syntactic_distance
 from repro.obs import Tracer
 from repro.rewrite.statistics import GraphStatistics
 from repro.service import WhyQueryService
-from repro.shard import GraphPartitioner, ProcessExecutor, ShardedMatcher
+from repro.shard import ProcessExecutor
 
 JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_micro_core.json"
 
@@ -287,7 +285,7 @@ def _process_workload(hubs: int = 300, fanout: int = 80, names: int = 72):
     Each hub is created *before its own leaves*, so hub vertex ids are
     spread evenly across the id space -- a vertex-range partition then
     splits the seed pool (the hubs) evenly across shards, which is what
-    makes this graph double as the sharded-expansion workload.
+    makes this graph double as the affine-placement workload.
     """
     g = PropertyGraph()
     n = 0
@@ -397,14 +395,15 @@ def _affine_placement_section(shard_counts=(2, 4), rounds: int = 3) -> dict:
     The payload numbers are deterministic (bytes of what actually
     crosses the process boundary per worker, measured with one worker
     per shard): the affine payload must be >= 2x smaller than the full
-    snapshot at 4 shards.  The wall-clock half re-runs the
-    sharded-expansion heavy count through an affine executor -- same
-    fan-out, but each worker holds only its shards -- and is gated
+    snapshot at 4 shards.  The wall-clock half runs the process-pool
+    variant batches through an affine executor -- every count fans out
+    per shard, and each worker holds only its shards -- and is gated
     core-aware like the other process sections.
     """
     import pickle
 
     from repro.core.serialize import graph_to_dict, shards_to_wire
+    from repro.shard import GraphPartitioner
 
     graph, variant, _ = _process_workload()
     cores = _cpu_cores()
@@ -442,9 +441,7 @@ def _affine_placement_section(shard_counts=(2, 4), rounds: int = 3) -> dict:
         for _ in range(rounds)
     )
 
-    with ProcessExecutor(
-        graph, max_workers=workers, shards=2, placement="affine"
-    ) as executor:
+    with ProcessExecutor(graph, max_workers=workers, shards=2) as executor:
         executor.warm_up()
         executor.run_queries(fresh_batch())  # untimed: workers build indexes
         affine_s = min(
@@ -563,9 +560,7 @@ def _mutate_while_serving_section(
     workers = min(2, PROCESS_WORKERS) if PROCESS_WORKERS else 2
     slices = iter(range(10_000))
     matcher = PatternMatcher(big_graph)
-    with ProcessExecutor(
-        big_graph, max_workers=workers, shards=4, placement="affine"
-    ) as executor:
+    with ProcessExecutor(big_graph, max_workers=workers, shards=4) as executor:
         executor.warm_up()
         executor.count_sharded(big_variant(next(slices)))  # warm pools
         hub_stride = 81  # hubs are created before their 80 leaves
@@ -615,111 +610,6 @@ def _mutate_while_serving_section(
             "full_rewarm_bytes": full_rewarm_bytes,
             "reship_ratio": reship_ratio,
         },
-    }
-
-
-# ---------------------------------------------------------------------------
-# sharded-expansion workload: one heavy count fanned out per shard
-# ---------------------------------------------------------------------------
-
-
-def _sharded_expansion_section(shard_counts=(2, 4), rounds: int = 3) -> dict:
-    """One heavy count fanned out per shard, with *compiled* workers.
-
-    The serving path this section models always ran the interpreter on
-    both sides, which put the 2-shard fan-out under water on machines
-    whose cores cannot hide the IPC round trip (sub-1.0x on 1-2 cores).
-    Each worker now runs one program invocation per shard block -- the
-    compiled kernel over its seed-range clamp -- so the fan-out beats
-    the interpreted serial baseline on *any* core count, and the gate no
-    longer needs to be core-aware.  ``serial_compiled_s`` records the
-    compiled single-process baseline next to the interpreted one, and
-    each shard level records its speedup against both (the compiled
-    ratio stays honest about what the process boundary costs).
-    """
-    graph, variant, _ = _process_workload()
-    cores = _cpu_cores()
-    workers = min(2, PROCESS_WORKERS) if PROCESS_WORKERS else 2
-
-    # the unfiltered expansion: every hub, every leaf -- one count that
-    # walks the whole adjacency, the query a single process cannot split
-    # without the shard decomposition
-    heavy = GraphQuery()
-    h = heavy.add_vertex(predicates={"type": equals("hub")})
-    leaf_v = heavy.add_vertex(predicates={"type": equals("leaf")})
-    heavy.add_edge(h, leaf_v, types={"rel"})
-
-    matcher = PatternMatcher(graph, compiled=False)
-    compiled_matcher = PatternMatcher(graph, compiled=True)
-    expected = matcher.count(heavy)  # warm-up + ground truth
-    assert compiled_matcher.count(heavy) == expected
-    serial_rounds = [_timed(lambda: matcher.count(heavy)) for _ in range(rounds)]
-    serial_s = min(serial_rounds)
-    serial_compiled_rounds = [
-        _timed(lambda: compiled_matcher.count(heavy)) for _ in range(rounds)
-    ]
-    serial_compiled_s = min(serial_compiled_rounds)
-
-    # in-process sharded merge first: the decomposition itself must be
-    # exact (per-shard counts partition the total) before timing it
-    in_process = ShardedMatcher(
-        GraphPartitioner(max(shard_counts)).partition(graph), compiled=True
-    )
-    per_shard_counts = [
-        in_process.count_shard(i, heavy) for i in range(max(shard_counts))
-    ]
-    assert sum(per_shard_counts) == expected
-
-    shards: dict = {}
-    for num_shards in shard_counts:
-        with ProcessExecutor(
-            graph, max_workers=workers, shards=num_shards, compiled=True
-        ) as executor:
-            executor.warm_up()
-            assert executor.count_sharded(heavy) == expected  # untimed first
-            sharded_rounds = [
-                _timed(lambda: executor.count_sharded(heavy))
-                for _ in range(rounds)
-            ]
-        sharded_s = min(sharded_rounds)
-        # best-of-N plus the per-round spread: the IPC half of this
-        # ratio is noisy run-to-run, and recording how noisy (the
-        # worst/best round ratio) is what justifies the gate's clamp
-        speedup_rounds = [
-            serial_s / r if r > 0 else float("inf") for r in sharded_rounds
-        ]
-        shards[str(num_shards)] = {
-            "sharded_s": sharded_s,
-            "rounds_s": sharded_rounds,
-            "speedup": serial_s / sharded_s if sharded_s > 0 else float("inf"),
-            "speedup_rounds": speedup_rounds,
-            "speedup_spread": max(sharded_rounds) / min(sharded_rounds)
-            if min(sharded_rounds) > 0
-            else float("inf"),
-            "speedup_vs_compiled_serial": serial_compiled_s / sharded_s
-            if sharded_s > 0
-            else float("inf"),
-        }
-
-    return {
-        "workload": {
-            "hubs": 300,
-            "fanout": 80,
-            "edges": graph.num_edges,
-            "query_matches": expected,
-            "per_shard_matches": per_shard_counts,
-        },
-        "cpu_cores": cores,
-        "workers": workers,
-        "workers_cap": PROCESS_WORKERS,
-        "compiled_workers": True,
-        "rounds": rounds,
-        "serial_count_s": serial_s,
-        "serial_rounds_s": serial_rounds,
-        "serial_compiled_s": serial_compiled_s,
-        "serial_compiled_rounds_s": serial_compiled_rounds,
-        "shards": shards,
-        "speedup_2s": shards[str(shard_counts[0])]["speedup"],
     }
 
 
@@ -916,16 +806,11 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     graph, query, expected = _expansion_workload()
 
     typed = PatternMatcher(graph)
-    legacy = PatternMatcher(graph, typed_adjacency=False)
-    assert typed.count(query) == legacy.count(query) == expected  # warm-up
+    assert typed.count(query) == expected  # warm-up
 
     typed_s = _best_of(lambda: typed.count(query))
-    legacy_s = _best_of(lambda: legacy.count(query))
     typed.steps = typed.calls = 0
-    legacy.steps = legacy.calls = 0
     typed.count(query)
-    legacy.count(query)
-    speedup = legacy_s / typed_s if typed_s > 0 else float("inf")
 
     context = ExecutionContext(ldbc_bundle.graph)
     matcher = context.matcher
@@ -959,7 +844,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     compiled_match = _compiled_match_section()
     process_pool = _process_pool_section()
-    sharded_expansion = _sharded_expansion_section()
     affine_placement = _affine_placement_section()
     mutate_while_serving = _mutate_while_serving_section()
     server_protocol = _server_protocol_section()
@@ -968,7 +852,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 10,
+        "schema_version": 11,
         "typed_expansion": {
             "workload": {
                 "hubs": 48,
@@ -977,12 +861,9 @@ def test_micro_emit_machine_readable(ldbc_bundle):
                 "matches": expected,
             },
             "typed": {"best_s": typed_s, "steps_per_count": typed.steps},
-            "legacy": {"best_s": legacy_s, "steps_per_count": legacy.steps},
-            "speedup": speedup,
         },
         "compiled_match": compiled_match,
         "process_pool": process_pool,
-        "sharded_expansion": sharded_expansion,
         "affine_placement": affine_placement,
         "mutate_while_serving": mutate_while_serving,
         "server_protocol": server_protocol,
@@ -998,10 +879,9 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(
-        f"\nwrote {JSON_PATH} (typed-expansion speedup {speedup:.1f}x, "
+        f"\nwrote {JSON_PATH} (typed-expansion steps {typed.steps}, "
         f"compiled-match speedup {compiled_match['speedup']:.1f}x, "
         f"process-pool speedup@2w {process_pool['speedup_2w']:.2f}x, "
-        f"sharded speedup@2s {sharded_expansion['speedup_2s']:.2f}x, "
         f"affine payload ratio@4s {affine_placement['payload_ratio_4s']:.1f}x, "
         f"delta-sync patch rate "
         f"{mutate_while_serving['csr']['patch_rate']:.2f} / reship ratio "
@@ -1014,12 +894,6 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         f"on {process_pool['cpu_cores']} core(s))"
     )
 
-    # acceptance: typed adjacency visits strictly fewer edges (exact,
-    # deterministic) and is clearly faster.  The recorded speedup is the
-    # authoritative number (>=2x on an idle machine); the assertion bound
-    # is looser so contended CI runners cannot flake the gate.
-    assert typed.steps < legacy.steps
-    assert speedup >= 1.3, speedup
     # acceptance: the compiled backend removes per-step interpretation
     # overhead -- >=2x over the interpreter on the typed-expansion
     # workload, single-core, pure CPU (measured ~10x on an idle box; the
@@ -1030,17 +904,11 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         compiled_match["program_cache"]["rewrite_batch"]["programs_compiled"] > 0
     )
     # acceptance: with >=2 real cores the process pool beats serial on the
-    # pure-CPU batch by >=1.5x at 2 workers, and the shard fan-out speeds
-    # up a single heavy count.  A single-core machine physically cannot
-    # overlap CPU work across processes; the JSON records what the
-    # machine did (cpu_cores says which regime it was).
+    # pure-CPU batch by >=1.5x at 2 workers.  A single-core machine
+    # physically cannot overlap CPU work across processes; the JSON
+    # records what the machine did (cpu_cores says which regime it was).
     if process_pool["cpu_cores"] >= 2 and PROCESS_WORKERS >= 2:
         assert process_pool["speedup_2w"] >= 1.5, process_pool["speedup_2w"]
-    # acceptance: with compiled workers the shard fan-out beats the
-    # interpreted serial baseline at 2 shards on *any* core count (the
-    # compiled kernels repay the IPC round trip even without real
-    # parallelism), so this gate is no longer core-aware
-    assert sharded_expansion["speedup_2s"] >= 1.0, sharded_expansion["speedup_2s"]
     # acceptance (ISSUE 5): affine placement ships only per-shard
     # payloads -- the per-worker wire bytes at 4 shards must be >= 2x
     # smaller than the full snapshot.  Payload sizes are deterministic,

@@ -4,12 +4,15 @@ A deployment-shaped tour of the ``repro.shard`` layer:
 
 1. partition a graph into vertex-range shards and inspect the balance
    and the boundary-edge index;
-2. fan a single heavy count out per shard with deterministic merge;
+2. split a single heavy count into per-shard blocks (the first seed
+   restricted to each shard's vertex range) and merge them;
 3. serve why-queries through a ``WhyQueryService(executor="process")``
    -- every pooled graph gets its own pool of warm worker processes,
    each holding a long-lived ``ExecutionContext`` rebuilt from a
    snapshot, so the rewriting search's pure-CPU candidate evaluation
-   runs outside the coordinator's GIL.
+   runs outside the coordinator's GIL;
+4. the same service with ``shards=4``: shard-affine placement, where
+   each worker holds only the shards placed on it.
 
 Everything runs under ``if __name__ == "__main__"``: worker processes
 are started with a spawning method (forkserver/spawn), which re-imports
@@ -25,7 +28,6 @@ from repro import (
     GraphQuery,
     PatternMatcher,
     PropertyGraph,
-    ShardedMatcher,
     WhyQueryService,
     equals,
 )
@@ -68,22 +70,24 @@ def main() -> None:
     print(f"  boundary edges:     {stats['boundary_edges']} "
           f"({stats['boundary_fraction']:.1%} of all edges)")
 
-    # -- 2. one heavy count, fanned out per shard and merged ------------------
+    # -- 2. one heavy count, split into per-shard blocks and merged -----------
+    # every match binds the first seed to exactly one vertex, and every
+    # vertex is owned by exactly one shard: the per-shard blocks
+    # partition the match set
     query = hub_leaf_query("rel")
-    matcher = ShardedMatcher(sharded)
+    matcher = PatternMatcher(graph)
     per_shard = [
-        matcher.count_shard(i, query) for i in range(sharded.num_shards)
+        matcher.count(query, seed_restrict=shard.vertex_ids)
+        for shard in sharded.shards
     ]
-    merged = matcher.count(query)
+    merged = sum(per_shard)
     print(f"\nper-shard counts {per_shard} -> merged {merged}")
-    assert merged == sum(per_shard) == PatternMatcher(graph).count(query)
+    assert merged == matcher.count(query)
 
     # -- 3. the service in process mode ---------------------------------------
     # an over-constrained query: no hub->leaf edge carries this type
     failing = hub_leaf_query("relMissing")
-    with WhyQueryService(
-        executor="process", process_workers=2, shards=2
-    ) as service:
+    with WhyQueryService(executor="process", process_workers=2) as service:
         report = service.explain(graph, failing)
         print(f"\nproblem: {report.problem.value}")
         print(f"best fix: {report.rewriting.best.describe()}")
@@ -92,7 +96,6 @@ def main() -> None:
         print("\nprocess pools:")
         print(f"  pools live:        {pools['pools_live']}")
         print(f"  worker processes:  {pools['workers']}")
-        print(f"  shards per pool:   {pools['shards_per_pool']}")
         print(f"  candidate batches: {pools['batches']}")
         print(f"  queries shipped:   {pools['queries_shipped']}")
 
@@ -104,7 +107,7 @@ def main() -> None:
 
     # -- 4. shard-affine placement: workers hold only their shards ------------
     with WhyQueryService(
-        executor="process", process_workers=4, shards=4, placement="affine"
+        executor="process", process_workers=2, shards=4
     ) as service:
         report = service.explain(graph, failing)
         assert report.rewriting.best is not None

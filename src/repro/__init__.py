@@ -34,13 +34,13 @@ Execution spine
     through :class:`~repro.exec.SerialExecutor` (in-process) or
     :class:`~repro.shard.ProcessExecutor` (worker processes).
 Sharding & process parallelism
-    :class:`~repro.shard.GraphPartitioner` splits a graph into
-    vertex-range :class:`~repro.shard.GraphShard` blocks behind the
-    :class:`~repro.shard.ShardedGraph` façade;
-    :class:`~repro.shard.ShardedMatcher` fans candidate enumeration and
-    expansion out per shard; :class:`~repro.shard.ProcessExecutor`
-    evaluates candidate batches on worker processes (outside the GIL)
-    with one warm ``ExecutionContext`` per worker.
+    :class:`~repro.shard.ProcessExecutor` evaluates candidate batches on
+    worker processes (outside the GIL): with one shard every worker
+    holds one warm ``ExecutionContext`` over the full snapshot; with
+    ``shards > 1`` :class:`~repro.shard.GraphPartitioner` splits the
+    graph into vertex-range :class:`~repro.shard.GraphShard` blocks (a
+    :class:`~repro.shard.ShardedGraph` snapshot) and each worker holds
+    only the shards placed on it.
 Service
     :class:`~repro.service.WhyQueryService` keeps a bounded pool of warm
     per-graph contexts and serves concurrent ``explain()`` /
@@ -91,7 +91,6 @@ from repro.shard import (
     GraphShard,
     ProcessExecutor,
     ShardedGraph,
-    ShardedMatcher,
 )
 from repro.metrics import (
     CardinalityProblem,
@@ -110,7 +109,7 @@ from repro.client import (
 )
 from repro.server import WhyQueryProtocolServer, serve_in_thread
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AdmissionRejected",
@@ -135,7 +134,6 @@ __all__ = [
     "ResultSet",
     "SerialExecutor",
     "ShardedGraph",
-    "ShardedMatcher",
     "ValueSet",
     "WhyQueryClient",
     "WhyQueryProtocolServer",

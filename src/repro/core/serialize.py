@@ -537,14 +537,17 @@ def route_deltas(
     Only vertex-add-free runs are routable: a new vertex can move the
     partition ranges, which invalidates the routing itself.  Raises
     ``ValueError`` on a ``"v"`` record; the caller falls back to a full
-    re-partition + re-warm.
+    re-partition + re-warm, and so does a snapshot whose source graph
+    has been collected.
     """
     num_shards = sharded.num_shards
     # the snapshot routes (its partition map is exactly what the workers
-    # were warmed with), but element lookups go to the live source graph
-    # when available: the snapshot predates this run -- and any earlier
-    # catch-up runs -- so only the live graph resolves their edges
-    lookup = getattr(sharded, "source", None) or sharded
+    # were warmed with), but element lookups go to the live source graph:
+    # the snapshot predates this run -- and any earlier catch-up runs --
+    # so only the live graph resolves their edges
+    lookup = sharded.source
+    if lookup is None:
+        raise ValueError("the partitioned source graph is gone; re-partition")
     routed: list = [[] for _ in range(num_shards)]
     for record in deltas:
         kind = record[0]

@@ -69,7 +69,6 @@ class ExecutionContext:
         self,
         graph: PropertyGraph,
         injective: bool = True,
-        typed_adjacency: bool = True,
         compiled: Optional[bool] = None,
         matcher: Optional[PatternMatcher] = None,
         cache: Optional[QueryResultCache] = None,
@@ -86,7 +85,6 @@ class ExecutionContext:
             else PatternMatcher(
                 graph,
                 injective=injective,
-                typed_adjacency=typed_adjacency,
                 compiled=compiled,
             )
         )

@@ -76,20 +76,13 @@ class PatternMatcher:
     plan cache by default, so independently constructed engines reuse each
     other's derivations; pass ``evalcache`` to isolate a matcher.
 
-    ``typed_adjacency=False`` disables the type-partitioned expansion and
-    falls back to scanning all incident edges with a per-edge type test
-    (the pre-optimisation behaviour; kept for benchmarking and as a
-    correctness oracle).
-
     ``compiled=True`` routes ``match``/``count``/``exists`` through the
     compiled backend: plans are lowered once per ``(graph version, query
     signature, edge_order, injective)`` into flat kernels over interned
     CSR arrays (:mod:`repro.matching.program`), visiting exactly the
     candidates the interpreter visits -- ``steps`` totals are identical
     on unbounded evaluations.  ``compiled=None`` (the default) follows
-    the ``REPRO_COMPILED_MATCH`` environment switch.  The compiled mode
-    requires the typed adjacency; a ``typed_adjacency=False`` matcher
-    always interprets, keeping the oracle configuration oracle-shaped.
+    the ``REPRO_COMPILED_MATCH`` environment switch.
     """
 
     def __init__(
@@ -97,7 +90,6 @@ class PatternMatcher:
         graph: PropertyGraph,
         injective: bool = True,
         evalcache: Optional[EvaluationCache] = None,
-        typed_adjacency: bool = True,
         compiled: Optional[bool] = None,
     ) -> None:
         self.graph = graph
@@ -105,10 +97,9 @@ class PatternMatcher:
         self.evalcache = (
             evalcache if evalcache is not None else shared_evaluation_cache(graph)
         )
-        self.typed_adjacency = typed_adjacency
         if compiled is None:
             compiled = _compiled_default()
-        self.compiled = bool(compiled) and typed_adjacency
+        self.compiled = bool(compiled)
         #: number of match/count/exists invocations served
         self.calls = 0
         #: cumulative number of binding attempts (search effort)
@@ -363,7 +354,7 @@ class PatternMatcher:
         anchor_is_source = step.anchor == qedge.source
         # the typed adjacency walk already filtered edge types, so only the
         # edge predicates remain to be checked per candidate
-        type_prefiltered = self.typed_adjacency and qedge.types is not None
+        type_prefiltered = qedge.types is not None
 
         for data_eid, data_other in self._incident_candidates(
             anchor_data, anchor_is_source, qedge
@@ -437,11 +428,7 @@ class PatternMatcher:
         edge = graph.edge
         # sorted for deterministic enumeration order (frozenset iteration
         # varies with PYTHONHASHSEED; steps counters are reproducible records)
-        types = (
-            sorted(qedge.types)
-            if self.typed_adjacency and qedge.types is not None
-            else None
-        )
+        types = sorted(qedge.types) if qedge.types is not None else None
         if want_out:
             if types is None:
                 for eid in graph.out_edges(anchor_data):

@@ -250,19 +250,24 @@ class WhyQueryProtocolServer:
                     self._dispatch(conn, message)
                 if polite:
                     break
-        except (ConnectionResetError, BrokenPipeError):
+        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+            # a vanished peer -- or the serving loop shutting down under a
+            # still-open connection (a remote shutdown) -- is a normal close
             pass
         finally:
-            # drain on close: in-flight requests finish and their replies
-            # flush before the goodbye/FIN -- a closing client never loses
-            # a result it already paid for
-            await self._drain_connection(conn)
-            if polite:
-                await self._send(conn, {"type": "goodbye"})
+            try:
+                # drain on close: in-flight requests finish and their
+                # replies flush before the goodbye/FIN -- a closing client
+                # never loses a result it already paid for
+                await self._drain_connection(conn)
+                if polite:
+                    await self._send(conn, {"type": "goodbye"})
+            except asyncio.CancelledError:
+                pass  # shutdown cancelled the drain: close anyway
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
             self._connections.discard(conn)
             self.stats_counters["connections_open"] -= 1

@@ -16,10 +16,11 @@ request throws the shared evaluation state away between requests; the
   dict/counter mutation is atomic under the GIL);
 * **CPU-parallel evaluation** with ``executor="process"``: every pooled
   graph gets its own :class:`~repro.shard.ProcessExecutor` (a warm
-  worker-process pool built from a snapshot of that graph, optionally
-  sharded via ``shards=N``), created with the graph's pool slot and
-  shut down on eviction -- pure-Python rewriting work finally scales
-  with cores instead of stalling on the coordinator's GIL;
+  worker-process pool built from a snapshot of that graph, or with
+  ``shards=N > 1`` from shard-affine per-worker slices of it), created
+  with the graph's pool slot and shut down on eviction -- pure-Python
+  rewriting work finally scales with cores instead of stalling on the
+  coordinator's GIL;
 * **service-level admission control**: a :class:`BudgetPool` carves a
   per-request :class:`~repro.exec.evaluator.EvaluationBudget` out of a
   bounded global evaluation pool (fair-share split across the requests
@@ -389,13 +390,13 @@ class WhyQueryService:
     :class:`~repro.shard.ProcessExecutor` -- ``process_workers`` worker
     processes, each holding a long-lived warm context built from a
     snapshot of that graph -- created with the graph's pool slot and
-    shut down when the slot is evicted.  ``shards`` > 1 additionally
-    partitions each worker's snapshot so single heavy counts can fan
-    out per shard (``count_sharded``).  ``placement="affine"`` makes
-    the worker pools **shard-affine**: each worker process receives
-    only its placed shards' wire payloads instead of the full snapshot,
-    so per-worker memory scales down with the shard count; blocks a
-    slice cannot finish are resolved coordinator-side (counted as
+    shut down when the slot is evicted.  ``shards`` > 1 makes the
+    worker pools **shard-affine**: the graph is partitioned into
+    ``shards`` vertex ranges and each worker process receives only its
+    placed shards' wire payloads instead of the full snapshot, so
+    per-worker memory scales down with the shard count; every count
+    fans out per shard to the owning workers, and blocks a slice cannot
+    finish are resolved coordinator-side (counted as
     ``affine_fallbacks``).  The per-graph worker/shard counters --
     including the payload/memory accounting (``payload_bytes`` actually
     shipped vs ``full_snapshot_bytes``) -- surface under
@@ -433,7 +434,6 @@ class WhyQueryService:
         ] = None,
         shards: int = 1,
         process_workers: int = 2,
-        placement: str = "full",
         slow_log_capacity: int = 32,
         persist: Optional[Union[str, SnapshotStore]] = None,
         **engine_options,
@@ -449,14 +449,10 @@ class WhyQueryService:
                 f"unknown executor mode {executor!r}; pass 'process' or a "
                 "BatchExecutor instance"
             )
-        if placement not in ("full", "affine"):
+        if shards > 1 and executor != "process":
             raise ValueError(
-                f"unknown placement mode {placement!r}; pass 'full' or 'affine'"
-            )
-        if placement == "affine" and executor != "process":
-            raise ValueError(
-                "placement='affine' requires executor='process' (placement "
-                "maps shards onto worker processes)"
+                "shards > 1 requires executor='process' (shard-affine "
+                "placement maps shards onto worker processes)"
             )
         reserved = self._RESERVED_ENGINE_OPTIONS & engine_options.keys()
         if reserved:
@@ -473,7 +469,6 @@ class WhyQueryService:
         self.process_mode = executor == "process"
         self.shards = shards
         self.process_workers = process_workers
-        self.placement = placement
         self.budget_pool = budget_pool
         self.engine_options = engine_options
         self._context_factory = (
@@ -551,8 +546,6 @@ class WhyQueryService:
                         max_workers=self.process_workers,
                         shards=self.shards,
                         injective=context.matcher.injective,
-                        typed_adjacency=context.matcher.typed_adjacency,
-                        placement=self.placement,
                         compiled=context.matcher.compiled,
                     )
                 entry = _PoolEntry(context, executor)
@@ -998,7 +991,7 @@ class WhyQueryService:
                     "pools_live": 0,
                     "workers": 0,
                     "shards_per_pool": self.shards,
-                    "placement": self.placement,
+                    "placement": "affine" if self.shards > 1 else "full",
                     "batches": 0,
                     "queries_shipped": 0,
                     "sharded_counts": 0,
@@ -1046,7 +1039,7 @@ class WhyQueryService:
                     )
                     for key in deltas:
                         deltas[key] += int(pool_info["deltas"][key])
-                    if self.placement == "affine":
+                    if self.shards > 1:
                         pools["payload_bytes"] += sum(
                             entry_pools.get("payload_bytes_per_worker", ())
                         )

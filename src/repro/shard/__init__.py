@@ -1,30 +1,26 @@
-"""Sharded storage, process-parallel evaluation, shard-affine placement.
+"""Process-parallel evaluation and shard-affine placement.
 
-``repro.shard`` is the first layer of the codebase that escapes
-single-core execution: the storage scale axis (partition the graph,
-fan matching out per shard) and the compute scale axis (evaluate
-candidate batches on worker *processes*, outside the coordinator's
-GIL) behind the seams the earlier layers left for them --
-:class:`~repro.core.graph.PropertyGraph`'s read-accessor surface, the
-matcher's ``seed_restrict``, the
-:class:`~repro.exec.evaluator.BatchExecutor` protocol and the
-service's per-graph context pool.
+``repro.shard`` is the layer of the codebase that escapes single-core
+execution: candidate batches are evaluated on worker *processes*,
+outside the coordinator's GIL, behind the seams the earlier layers left
+for them -- the matcher's ``seed_restrict``, the
+:class:`~repro.exec.evaluator.BatchExecutor` protocol and the service's
+per-graph context pool.  One setting picks the layout: the shard count.
 
-* :class:`GraphPartitioner` / :class:`GraphShard` -- balanced
-  vertex-range shards with per-shard typed adjacency and a
-  boundary-edge index;
-* :class:`ShardedGraph` -- the read-only façade exposing the
-  ``PropertyGraph`` accessor surface over the shards;
-* :class:`ShardedMatcher` -- per-shard candidate enumeration and
-  expansion with deterministic (ascending shard order) merge; with a
-  placement-aware executor it routes every seed block to the worker
-  process owning the shard;
-* :class:`ProcessExecutor` -- ``BatchExecutor`` on a
-  ``ProcessPoolExecutor``: wire-form queries across the boundary, one
-  long-lived warm ``ExecutionContext`` per worker, submission-order
-  results, coordinator-side budget truncation, sharded intra-query
-  fan-out via ``count_sharded``, and **shard-affine placement**
-  (``placement="affine"``): workers hold only their placed shards;
+* :class:`ProcessExecutor` -- ``BatchExecutor`` on worker processes:
+  wire-form queries across the boundary, submission-order results,
+  coordinator-side budget truncation.  With ``shards == 1`` every
+  worker holds one long-lived warm ``ExecutionContext`` over the full
+  graph snapshot; with ``shards > 1`` it uses **shard-affine
+  placement**: workers hold only their placed shards, every count fans
+  out per shard to the owning worker (``count_sharded`` for a single
+  query), and blocks a worker cannot finish are resolved by a
+  seed-restricted :class:`~repro.matching.matcher.PatternMatcher` over
+  the coordinator's live graph;
+* :class:`GraphPartitioner` / :class:`GraphShard` /
+  :class:`ShardedGraph` -- balanced vertex-range shards, vertex routing
+  and the cross-shard boundary-edge index the affine payloads are cut
+  from;
 * :class:`ShardSlice` / :class:`SliceEvaluator` / :class:`ShardMiss` --
   the worker-side half of affine placement.
 
@@ -52,7 +48,7 @@ composite carrying:
 
 Anything a slice does not hold raises :class:`ShardMiss` instead of
 answering wrongly; the coordinator resolves missed blocks against its
-full graph (correctness first, locality second) and counts them in
+live graph (correctness first, locality second) and counts them in
 ``ProcessExecutor.info()["pools"]["affine_fallbacks"]``.
 
 The differential-oracle pattern
@@ -61,10 +57,10 @@ The differential-oracle pattern
 Every execution path in this package is tested *differentially* against
 the serial :class:`~repro.matching.matcher.PatternMatcher` as the
 oracle: randomized graphs and queries (seeded in-code, so failures
-reproduce) run through the serial matcher, the compiled matcher,
-``ShardedMatcher`` at shard counts {1, 2, 4}, and the affine slice
-path, asserting count value-identity and match-set
-permutation-identity everywhere (``tests/test_property_based.py``).
+reproduce) run through the serial matcher, the compiled matcher and the
+affine slice path at shard counts {1, 2, 4}, asserting count
+value-identity and match-set permutation-identity everywhere
+(``tests/test_property_based.py``).
 New execution strategies should plug into that oracle helper rather
 than invent bespoke fixtures: the generator already covers multi-type
 parallel edges, self-loops on boundary vertices, empty shards and
@@ -77,7 +73,6 @@ from repro.shard.affine import (
     SliceEvaluator,
     canonical_edge_order,
 )
-from repro.shard.matching import ShardedMatcher
 from repro.shard.partition import GraphPartitioner, GraphShard, ShardedGraph
 from repro.shard.process_executor import ProcessExecutor, affine_placement
 
@@ -88,7 +83,6 @@ __all__ = [
     "ShardMiss",
     "ShardSlice",
     "ShardedGraph",
-    "ShardedMatcher",
     "SliceEvaluator",
     "affine_placement",
     "canonical_edge_order",

@@ -1,10 +1,10 @@
 """Shard-affine placement: per-shard slices, misses, slice evaluation.
 
-PR 4's :class:`~repro.shard.ProcessExecutor` gave every worker the
-*full* graph snapshot, so worker memory grew with the worker count.
-Shard-affine placement inverts that: each worker holds only the shards
-*placed* on it, shipped as the compact per-shard wire form of
-:func:`repro.core.serialize.shard_to_wire`.  This module is the
+With one shard, :class:`~repro.shard.ProcessExecutor` gives every
+worker the *full* graph snapshot, so worker memory grows with the worker
+count.  With ``shards > 1`` it places shards instead: each worker holds
+only the shards *placed* on it, shipped as the compact per-shard wire
+form of :func:`repro.core.serialize.shard_to_wire`.  This module is the
 worker-side half of that design:
 
 * :class:`ShardSlice` -- the partial graph a worker rebuilds from one
@@ -28,9 +28,10 @@ worker-side half of that design:
   and a bounded per-block result memo.  ``count_block`` returns
   ``None`` on a miss so the verdict crosses the process boundary as a
   plain picklable value; the in-process entry points (``count`` /
-  ``match``) accept a coordinator-side fallback and run the *identical*
-  code path the worker processes run, which is what the randomized
-  differential suite in ``tests/test_property_based.py`` drives.
+  ``match``) accept a coordinator-side fallback matcher and run the
+  *identical* code path the worker processes run, which is what the
+  randomized differential suite in ``tests/test_property_based.py``
+  drives.
 
 Determinism: a slice's adjacency lists replay the source graph's
 append order exactly (the wire form emits incident edges in global
@@ -516,8 +517,7 @@ class SliceEvaluator:
         self,
         slices: Mapping[int, ShardSlice],
         injective: bool = True,
-        typed_adjacency: bool = True,
-        fallback: Optional[object] = None,
+        fallback: Optional[PatternMatcher] = None,
         compiled: Optional[bool] = None,
     ) -> None:
         if not slices:
@@ -525,21 +525,14 @@ class SliceEvaluator:
         self.slices: Dict[int, ShardSlice] = dict(slices)
         self.num_shards = next(iter(self.slices.values())).num_shards
         self.injective = injective
-        self.typed_adjacency = typed_adjacency
         self.compiled = compiled
-        #: coordinator-side resolver for missed blocks -- anything
-        #: exposing ``count_shard(index, query, limit)`` and a
-        #: ``matcher`` with ``seed_restrict`` (a
-        #: :class:`~repro.shard.matching.ShardedMatcher` fits); workers
-        #: run without one and surface misses as ``None``
+        #: coordinator-side resolver for missed blocks: a
+        #: :class:`~repro.matching.matcher.PatternMatcher` over the full
+        #: graph, seed-restricted to the missed shard's owned range;
+        #: workers run without one and surface misses as ``None``
         self.fallback = fallback
         self._matchers: Dict[int, PatternMatcher] = {
-            index: PatternMatcher(
-                slice_,
-                injective=injective,
-                typed_adjacency=typed_adjacency,
-                compiled=compiled,
-            )
+            index: PatternMatcher(slice_, injective=injective, compiled=compiled)
             for index, slice_ in self.slices.items()
         }
         self._wire_queries: "OrderedDict[Tuple, GraphQuery]" = OrderedDict()
@@ -558,8 +551,7 @@ class SliceEvaluator:
         cls,
         payloads: Sequence[Mapping[str, Any]],
         injective: bool = True,
-        typed_adjacency: bool = True,
-        fallback: Optional[object] = None,
+        fallback: Optional[PatternMatcher] = None,
         compiled: Optional[bool] = None,
     ) -> "SliceEvaluator":
         """Rebuild the placed slices from their wire payloads (each slice
@@ -570,32 +562,23 @@ class SliceEvaluator:
         for payload in payloads:
             slice_ = shard_from_wire(payload)
             slices[slice_.index] = slice_
-        return cls(
-            slices,
-            injective=injective,
-            typed_adjacency=typed_adjacency,
-            fallback=fallback,
-            compiled=compiled,
-        )
+        return cls(slices, injective=injective, fallback=fallback, compiled=compiled)
 
     @classmethod
     def for_sharded(
         cls,
         sharded,
         injective: bool = True,
-        typed_adjacency: bool = True,
-        fallback: Optional[object] = None,
+        fallback: Optional[PatternMatcher] = None,
         compiled: Optional[bool] = None,
     ) -> "SliceEvaluator":
         """All of a :class:`~repro.shard.ShardedGraph`'s slices, rebuilt
         through a full wire round-trip (the transport the workers see)."""
         from repro.core.serialize import shards_to_wire
 
-        payloads = shards_to_wire(sharded)
         return cls.from_wire_payloads(
-            payloads,
+            shards_to_wire(sharded),
             injective=injective,
-            typed_adjacency=typed_adjacency,
             fallback=fallback,
             compiled=compiled,
         )
@@ -699,11 +682,11 @@ class SliceEvaluator:
         # the fallback block must restrict the SAME first-seed vertex the
         # slice-evaluated blocks did, or the per-shard union breaks
         with current_tracer().span(SPAN_FALLBACK, shard=shard_index):
-            return self.fallback.count_shard(
-                shard_index,
+            return self.fallback.count(
                 query,
                 limit=limit,
                 edge_order=canonical_edge_order(query),
+                seed_restrict=self.slices[shard_index].vertex_ids,
             )
 
     def _require_all_shards(self) -> None:
@@ -772,7 +755,7 @@ class SliceEvaluator:
                 if self.fallback is None:
                     raise ShardMiss(shard_index, "a coordinator-side fallback")
                 self.fallbacks += 1
-                results = self.fallback.matcher.match(
+                results = self.fallback.match(
                     query,
                     limit=limit,
                     edge_order=canonical_edge_order(query),

@@ -30,14 +30,8 @@ Why this is not just ``ProcessPoolExecutor.map`` over closures:
   ``version``; if the graph moved since the pool warmed up, the pool is
   rebuilt from a fresh snapshot before the next batch (correctness over
   reuse);
-* **sharded fan-out** -- with ``shards=N`` each worker additionally
-  partitions its snapshot into a :class:`~repro.shard.ShardedGraph`,
-  and :meth:`count_sharded` splits a *single* heavy count across the
-  shard blocks (one task per shard, coordinator sums and clamps), the
-  intra-query parallel path the ``sharded_expansion`` benchmark
-  section measures;
-* **shard-affine placement** -- with ``placement="affine"`` the
-  executor stops shipping the full snapshot entirely: it partitions the
+* **shard-affine placement** -- with ``shards > 1`` the executor
+  stops shipping the full snapshot entirely: it partitions the
   graph once, derives a placement map (``shard -> worker``), and warms
   one *single-process* pool per worker with only the per-shard wire
   payloads (:func:`repro.core.serialize.shard_to_wire`) placed on it,
@@ -45,8 +39,9 @@ Why this is not just ``ProcessPoolExecutor.map`` over closures:
   scales up with workers.  Every count fans out per shard and each
   block is routed to the worker that owns the shard; blocks a slice
   cannot finish (a second expansion hop off-shard, a disconnected
-  query) come back as misses and are resolved coordinator-side against
-  the full graph.  Merges stay sum-and-clamp, so counts are
+  query) come back as misses and are resolved coordinator-side by a
+  seed-restricted :class:`~repro.matching.matcher.PatternMatcher` over
+  the live graph.  Merges stay sum-and-clamp, so counts are
   value-identical and batch-1 engine trajectories bit-identical to
   serial.  ``info()`` records the per-worker wire-payload bytes next
   to the full-snapshot bytes (the ``affine_placement`` benchmark
@@ -78,17 +73,19 @@ from repro.core.serialize import (
     route_deltas,
     shards_to_wire,
 )
+from repro.matching.matcher import PatternMatcher
 from repro.obs.tracing import SPAN_FALLBACK, SPAN_WORKER, Tracer, current_tracer
 from repro.shard.affine import canonical_edge_order
+from repro.shard.partition import GraphPartitioner
 from repro.stats import deltas_section, unified_stats
 
 T = TypeVar("T")
 
 __all__ = ["ProcessExecutor"]
 
-#: placement modes: ``full`` ships the whole snapshot to every worker
-#: (the PR 4 behaviour), ``affine`` ships each worker only its shards
-PLACEMENT_MODES = ("full", "affine")
+#: how long :meth:`ProcessExecutor.warm_up` waits for every worker to
+#: report in before giving up
+_WARM_UP_DEADLINE_S = 60.0
 
 
 def affine_placement(num_shards: int, num_workers: int) -> Dict[int, int]:
@@ -105,9 +102,10 @@ def affine_placement(num_shards: int, num_workers: int) -> Dict[int, int]:
 # -- worker side -----------------------------------------------------------------
 #
 # One module-global evaluation spine per worker process, built once by the
-# pool initializer and reused for every task the worker serves.  The keys:
-# ``context`` (the warm ExecutionContext), ``sharded`` (the ShardedMatcher
-# when shards > 1) and ``queries`` (wire form -> deserialized GraphQuery).
+# pool initializer and reused for every task the worker serves.  Full
+# snapshot workers hold ``context`` (the warm ExecutionContext) and
+# ``queries`` (wire form -> deserialized GraphQuery); affine workers hold
+# ``affine`` (their SliceEvaluator).
 
 _WORKER_STATE: Dict[str, object] = {}
 
@@ -118,38 +116,19 @@ _WORKER_QUERY_CACHE_ENTRIES = 10_000
 
 
 def _worker_init(
-    payload: dict,
-    shards: int,
-    injective: bool,
-    typed_adjacency: bool,
-    compiled: Optional[bool] = None,
+    payload: dict, injective: bool, compiled: Optional[bool] = None
 ) -> None:
     """Pool initializer: rebuild the snapshot, warm one context."""
     # imported lazily so the coordinator-side import of this module stays
     # cheap; the worker pays it once per process
     from repro.exec.context import ExecutionContext
-    from repro.shard.matching import ShardedMatcher
-    from repro.shard.partition import GraphPartitioner
 
     graph = graph_from_dict(payload)
-    state: Dict[str, object] = {
-        "graph": graph,
-        "context": ExecutionContext(
-            graph,
-            injective=injective,
-            typed_adjacency=typed_adjacency,
-            compiled=compiled,
-        ),
-        "queries": {},
-    }
-    if shards > 1:
-        state["sharded"] = ShardedMatcher(
-            GraphPartitioner(shards).partition(graph),
-            injective=injective,
-            compiled=compiled,
-        )
     _WORKER_STATE.clear()
-    _WORKER_STATE.update(state)
+    _WORKER_STATE["context"] = ExecutionContext(
+        graph, injective=injective, compiled=compiled
+    )
+    _WORKER_STATE["queries"] = {}
 
 
 def _worker_query(wire: Tuple) -> GraphQuery:
@@ -179,44 +158,20 @@ def _worker_count(wire: Tuple, limit: Optional[int], trace: bool = False):
     return count, tracer.summarize()
 
 
-def _worker_count_shard(
-    wire: Tuple, shard_index: int, limit: Optional[int], trace: bool = False
-):
-    sharded = _WORKER_STATE.get("sharded")
-    if sharded is None:
-        raise RuntimeError("worker was warmed without shards; pass shards>1")
-    if not trace:
-        return sharded.count_shard(shard_index, _worker_query(wire), limit=limit)  # type: ignore[union-attr]
-    tracer = Tracer()
-    with tracer.activate():
-        count = sharded.count_shard(  # type: ignore[union-attr]
-            shard_index, _worker_query(wire), limit=limit
-        )
-    return count, tracer.summarize()
-
-
-def _worker_touch(delay_s: float) -> int:
-    """Warm-up barrier task: hold the worker long enough that the pool
-    must spawn (and initialize) every process, then report its pid."""
-    time.sleep(delay_s)
+def _worker_touch() -> int:
+    """Warm-up task: report the pid of the (initialized) worker."""
     return os.getpid()
 
 
 def _affine_worker_init(
-    payloads: List[dict],
-    injective: bool,
-    typed_adjacency: bool,
-    compiled: Optional[bool] = None,
+    payloads: List[dict], injective: bool, compiled: Optional[bool] = None
 ) -> None:
     """Affine pool initializer: rebuild only the placed shards' slices
     (each slice builds its own CSR index locally when compiled)."""
     from repro.shard.affine import SliceEvaluator
 
     evaluator = SliceEvaluator.from_wire_payloads(
-        payloads,
-        injective=injective,
-        typed_adjacency=typed_adjacency,
-        compiled=compiled,
+        payloads, injective=injective, compiled=compiled
     )
     _WORKER_STATE.clear()
     _WORKER_STATE["affine"] = evaluator
@@ -250,49 +205,6 @@ def _affine_worker_apply_deltas(payloads: List[dict]) -> int:
 # -- coordinator side -------------------------------------------------------------
 
 
-class _BlockHandle:
-    """Future-shaped handle for one routed shard block.
-
-    ``result()`` resolves worker-side misses (``None``) against the
-    coordinator's full graph, so callers (:class:`~repro.shard.matching.
-    ShardedMatcher`'s placement routing) always observe exact counts.
-    """
-
-    __slots__ = ("_executor", "_shard_index", "_query", "_limit", "_future", "_trace")
-
-    def __init__(
-        self,
-        executor: "ProcessExecutor",
-        shard_index: int,
-        query: GraphQuery,
-        limit: Optional[int],
-        future: Optional[Future],
-        trace: bool = False,
-    ) -> None:
-        self._executor = executor
-        self._shard_index = shard_index
-        self._query = query
-        self._limit = limit
-        self._future = future
-        self._trace = trace
-
-    def result(self) -> int:
-        if self._future is None:
-            value = None
-        else:
-            value = self._future.result()
-            if self._trace:
-                value, summary = value
-                current_tracer().attach_summary(
-                    SPAN_WORKER, summary, shard=self._shard_index
-                )
-        if value is None:
-            value = self._executor._resolve_block(
-                self._shard_index, self._query, self._limit
-            )
-        return value
-
-
 class ProcessExecutor:
     """Evaluate candidate batches on a pool of warm worker processes.
 
@@ -305,11 +217,12 @@ class ProcessExecutor:
     :class:`~repro.service.WhyQueryService` therefore keeps one process
     executor per pooled graph.
 
-    ``max_workers`` caps the pool; ``shards`` > 1 additionally
-    partitions each worker's snapshot for :meth:`count_sharded`'s
-    intra-query fan-out.  The pool spins up lazily (or explicitly via
-    :meth:`warm_up`) and is released by :meth:`close` / context-manager
-    exit.
+    ``max_workers`` caps the pool.  ``shards`` picks the layout: one
+    shard warms every worker from the full snapshot, ``shards > 1``
+    partitions the graph and places each shard on one worker
+    (shard-affine placement).  The pool spins up lazily (or explicitly
+    via :meth:`warm_up`) and is released by :meth:`close` /
+    context-manager exit.
     """
 
     name = "process"
@@ -322,27 +235,20 @@ class ProcessExecutor:
         max_workers: int = 2,
         shards: int = 1,
         injective: bool = True,
-        typed_adjacency: bool = True,
         start_method: Optional[str] = None,
-        placement: str = "full",
         compiled: Optional[bool] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if placement not in PLACEMENT_MODES:
-            raise ValueError(
-                f"unknown placement mode {placement!r}; expected one of "
-                f"{PLACEMENT_MODES}"
-            )
         self.graph = graph
         self.max_workers = max_workers
         self.shards = shards
+        #: shard-affine placement (``shards > 1``) or the full snapshot
+        self.affine = shards > 1
         self.injective = injective
-        self.typed_adjacency = typed_adjacency
         self.compiled = compiled
-        self.placement_mode = placement
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             # fork would duplicate a possibly-threaded coordinator mid-lock;
@@ -359,7 +265,9 @@ class ProcessExecutor:
         self._affine_pools: Optional[List[ProcessPoolExecutor]] = None
         self._placement: Dict[int, int] = {}
         self._sharded_snapshot = None
-        self._local_sharded = None
+        #: coordinator-side matcher over the live graph for the blocks
+        #: (and disconnected queries) the affine workers cannot finish
+        self._fallback = PatternMatcher(graph, injective=injective, compiled=compiled)
         self._payload_bytes: List[int] = []
         self._full_snapshot_bytes: Optional[int] = None
         self._full_snapshot_bytes_version: Optional[int] = None
@@ -380,11 +288,6 @@ class ProcessExecutor:
         #: cost (compare against a full re-warm's payload bytes)
         self.worker_catchups = 0
         self.delta_bytes = 0
-
-    @property
-    def supports_placement(self) -> bool:
-        """Placement-aware routing available (``ShardedMatcher`` checks)."""
-        return self.placement_mode == "affine"
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -411,13 +314,7 @@ class ProcessExecutor:
                     max_workers=self.max_workers,
                     mp_context=multiprocessing.get_context(self.start_method),
                     initializer=_worker_init,
-                    initargs=(
-                        payload,
-                        self.shards,
-                        self.injective,
-                        self.typed_adjacency,
-                        self.compiled,
-                    ),
+                    initargs=(payload, self.injective, self.compiled),
                 )
                 self._snapshot_version = self.graph.version
                 self.pool_rebuilds += 1
@@ -438,8 +335,6 @@ class ProcessExecutor:
         fresh partition only when catch-up is impossible: a vertex add,
         a ring overrun, or no delta log at all.
         """
-        from repro.shard.partition import GraphPartitioner
-
         stale: List[ProcessPoolExecutor] = []
         with self._lock:
             if (
@@ -450,7 +345,6 @@ class ProcessExecutor:
                     stale, self._affine_pools = self._affine_pools, None
                     self._snapshot_version = None
                     self._sharded_snapshot = None
-                    self._local_sharded = None
             if self._affine_pools is None:
                 sharded = GraphPartitioner(self.shards).partition(self.graph)
                 self._sharded_snapshot = sharded
@@ -466,12 +360,7 @@ class ProcessExecutor:
                         max_workers=1,
                         mp_context=context,
                         initializer=_affine_worker_init,
-                        initargs=(
-                            pool_payloads,
-                            self.injective,
-                            self.typed_adjacency,
-                            self.compiled,
-                        ),
+                        initargs=(pool_payloads, self.injective, self.compiled),
                     )
                     for pool_payloads in per_pool
                 ]
@@ -541,64 +430,59 @@ class ProcessExecutor:
         self._snapshot_version = self.graph.version
         return True
 
-    def _local(self):
-        """Coordinator-side fallback matcher over the same partition.
-
-        After worker catch-ups the retained snapshot lags the graph;
-        the fallback then re-partitions lazily -- catch-up runs add no
-        vertices, so the fresh vertex-count-balanced ranges are
-        identical to the ones the workers were warmed with, and the
-        fallback's seed restrictions keep matching the workers' blocks.
-        """
-        from repro.shard.matching import ShardedMatcher
-        from repro.shard.partition import GraphPartitioner
-
-        with self._lock:
-            if self._sharded_snapshot is None:  # pragma: no cover - guarded
-                raise RuntimeError("affine pools have not been built yet")
-            if self._sharded_snapshot.version != self.graph.version:
-                self._sharded_snapshot = GraphPartitioner(self.shards).partition(
-                    self.graph
-                )
-                self._local_sharded = None
-            if self._local_sharded is None:
-                self._local_sharded = ShardedMatcher(
-                    self._sharded_snapshot,
-                    injective=self.injective,
-                    compiled=self.compiled,
-                )
-            return self._local_sharded
-
     def _resolve_block(
         self, shard_index: int, query: GraphQuery, limit: Optional[int]
     ) -> int:
         """Coordinator-side resolve of a block the worker could not finish.
 
-        Pins the canonical edge order so the resolved block restricts
-        the same first-seed vertex the slice-evaluated blocks did (the
-        cross-shard consistency requirement of the decomposition).
+        Restricts the first seed to the shard's range in the partition
+        the workers were warmed from (catch-up runs add no vertices, so
+        the ranges still hold) and pins the canonical edge order, so the
+        resolved block restricts the same first-seed vertex the
+        slice-evaluated blocks did (the cross-shard consistency
+        requirement of the decomposition).
         """
         with self._lock:
             self.affine_fallbacks += 1
+            sharded = self._sharded_snapshot
+        if sharded is None:  # pragma: no cover - guarded by the caller
+            raise RuntimeError("affine pools have not been built yet")
         with current_tracer().span(SPAN_FALLBACK, shard=shard_index):
-            return self._local().count_shard(
-                shard_index, query, limit=limit, edge_order=canonical_edge_order(query)
+            return self._fallback.count(
+                query,
+                limit=limit,
+                edge_order=canonical_edge_order(query),
+                seed_restrict=sharded.shards[shard_index].vertex_ids,
             )
 
-    def warm_up(self, barrier_s: float = 0.05) -> List[int]:
-        """Force-spawn every worker; returns their (distinct) pids.
+    def warm_up(self) -> List[int]:
+        """Force-spawn every worker; returns their distinct pids.
 
         ``ProcessPoolExecutor`` spawns workers on demand, so the first
         measured batch would otherwise pay process start + snapshot
-        rebuild.  Each barrier task holds its worker ``barrier_s``
-        seconds, which forces the pool to start all of them.
+        rebuild.  Touch tasks are submitted round after round until
+        every worker has answered one; a worker that has not reported
+        in by the deadline raises ``RuntimeError``.
         """
-        if self.placement_mode == "affine":
+        if self.affine:
             pools = self._ensure_affine_pools()
-            futures = [pool.submit(_worker_touch, barrier_s) for pool in pools]
+            futures = [pool.submit(_worker_touch) for pool in pools]
             return [future.result() for future in futures]
         pool = self._ensure_pool()
-        return list(pool.map(_worker_touch, repeat(barrier_s, self.max_workers)))
+        deadline = time.monotonic() + _WARM_UP_DEADLINE_S
+        seen: Dict[int, None] = {}
+        while len(seen) < self.max_workers:
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"only {len(seen)} of {self.max_workers} workers reported "
+                    f"in within {_WARM_UP_DEADLINE_S:.0f} s"
+                )
+            # one round submits a task per worker before awaiting any,
+            # so the first round starts every process
+            futures = [pool.submit(_worker_touch) for _ in range(self.max_workers)]
+            for future in futures:
+                seen[future.result()] = None
+        return list(seen)
 
     def close(self) -> None:
         """Shut the worker pool(s) down (idempotent; pools respawn lazily)."""
@@ -607,7 +491,6 @@ class ProcessExecutor:
             affine, self._affine_pools = self._affine_pools, None
             self._snapshot_version = None
             self._sharded_snapshot = None
-            self._local_sharded = None
         if pool is not None:
             pool.shutdown(wait=True)
         for affine_pool in affine or ():
@@ -640,7 +523,7 @@ class ProcessExecutor:
         queries = list(queries)
         if not queries:
             return []
-        if self.placement_mode == "affine":
+        if self.affine:
             return self._run_queries_affine(queries, limit)
         pool = self._ensure_pool()
         wires = [query_to_wire(query) for query in queries]
@@ -675,7 +558,7 @@ class ProcessExecutor:
         compose; merges are sum-and-clamp per query, in submission
         order.  Blocks the owning worker missed -- and whole queries no
         slice can evaluate (disconnected patterns) -- resolve against
-        the coordinator's full graph.
+        the coordinator's live graph.
         """
         pools = self._ensure_affine_pools()
         tracer = current_tracer()
@@ -685,7 +568,7 @@ class ProcessExecutor:
         for query in queries:
             # a slice enumerates candidates over its owned range only, so
             # every seed after the first must be resolved coordinator-side
-            if self.shards > 1 and not query.is_connected():
+            if not query.is_connected():
                 pending.append((query, None))
                 continue
             wire = query_to_wire(query)
@@ -705,7 +588,7 @@ class ProcessExecutor:
             if futures is None:
                 with self._lock:
                     self.affine_fallbacks += 1
-                counts.append(self._local().matcher.count(query, limit=limit))
+                counts.append(self._fallback.count(query, limit=limit))
                 continue
             total = 0
             for shard_index, future in futures:
@@ -727,66 +610,21 @@ class ProcessExecutor:
             self.queries_shipped += shipped
         return counts
 
-    def submit_block(
-        self, shard_index: int, query: GraphQuery, limit: Optional[int] = None
-    ) -> _BlockHandle:
-        """Route one shard-seeded block to the worker owning the shard.
-
-        The placement-aware entry :class:`~repro.shard.matching.
-        ShardedMatcher` drives: results resolve worker-side misses
-        transparently, so ``handle.result()`` is always the exact
-        bounded block count.
-        """
-        if self.placement_mode != "affine":
-            raise RuntimeError("submit_block requires placement='affine'")
-        if not 0 <= shard_index < self.shards:
-            raise ValueError(f"shard index {shard_index} out of range")
-        pools = self._ensure_affine_pools()
-        if self.shards > 1 and not query.is_connected():
-            return _BlockHandle(self, shard_index, query, limit, None)
-        trace = current_tracer().enabled
-        future = pools[self._placement[shard_index]].submit(
-            _affine_worker_count_block, query_to_wire(query), shard_index, limit, trace
-        )
-        return _BlockHandle(self, shard_index, query, limit, future, trace)
-
     def count_sharded(self, query: GraphQuery, limit: Optional[int] = None) -> int:
         """One (heavy) count split across the workers' shard blocks.
 
-        Dispatches one task per shard -- each worker counts the matches
-        whose first seed binds inside that shard's vertex range -- and
-        reconciles at the coordinator: the per-shard counts (each
-        individually clamped at ``limit``) are summed and clamped, which
-        is value-identical to the unsharded bounded count.  Under affine
-        placement each block additionally lands on the worker that owns
-        the shard (and only that worker holds its data).
+        Each block -- the matches whose first seed binds inside one
+        shard's vertex range -- is counted on the worker that owns the
+        shard, and the coordinator sums and clamps the per-block counts
+        (each individually clamped at ``limit``), which is
+        value-identical to the unsharded bounded count.  With one shard
+        this is a plain :meth:`run_queries` count.
         """
-        if self.placement_mode == "affine":
-            with self._lock:
-                self.sharded_counts += 1
-            return self._run_queries_affine([query], limit)[0]
-        if self.shards < 2:
+        if not self.affine:
             return self.run_queries([query], limit=limit)[0]
-        pool = self._ensure_pool()
-        wire = query_to_wire(query)
-        tracer = current_tracer()
-        trace = tracer.enabled
-        futures = [
-            pool.submit(_worker_count_shard, wire, shard_index, limit, trace)
-            for shard_index in range(self.shards)
-        ]
-        total = 0
-        for shard_index, future in enumerate(futures):
-            value = future.result()
-            if trace:
-                value, summary = value
-                tracer.attach_summary(SPAN_WORKER, summary, shard=shard_index)
-            total += value
         with self._lock:
             self.sharded_counts += 1
-        if limit is not None:
-            return min(total, limit)
-        return total
+        return self._run_queries_affine([query], limit)[0]
 
     # -- reporting ---------------------------------------------------------------
 
@@ -830,7 +668,7 @@ class ProcessExecutor:
                 "max_workers": self.max_workers,
                 "shards": self.shards,
                 "start_method": self.start_method,
-                "placement": self.placement_mode,
+                "placement": "affine" if self.affine else "full",
                 "pool_live": (
                     self._pool is not None or self._affine_pools is not None
                 ),
@@ -848,9 +686,9 @@ class ProcessExecutor:
             full_snapshot_bytes = self._full_snapshot_bytes
         worker_catchups = 0
         delta_bytes = 0
-        if self.placement_mode == "full" and full_snapshot_bytes is not None:
+        if not self.affine and full_snapshot_bytes is not None:
             pools["full_snapshot_bytes"] = full_snapshot_bytes
-        if self.placement_mode == "affine":
+        if self.affine:
             payload_max = max(payload_bytes, default=0)
             # takes the lock itself, so it must run outside the snapshot
             full = self._measure_full_snapshot() if payload_max else 0
@@ -878,6 +716,6 @@ class ProcessExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProcessExecutor(max_workers={self.max_workers}, "
-            f"shards={self.shards}, placement={self.placement_mode!r}, "
+            f"shards={self.shards}, "
             f"start_method={self.start_method!r})"
         )

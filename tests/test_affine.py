@@ -31,7 +31,6 @@ from repro.shard import (
     GraphPartitioner,
     ProcessExecutor,
     ShardMiss,
-    ShardedMatcher,
     SliceEvaluator,
     affine_placement,
     canonical_edge_order,
@@ -42,25 +41,34 @@ from test_shard import coarse_trajectory, fine_trajectory, result_key, typed_que
 
 def affine_evaluator(graph, num_shards, injective=True):
     """In-process affine path over a fresh partition (wire round-trip)."""
-    sharded = GraphPartitioner(num_shards).partition(graph)
     return SliceEvaluator.for_sharded(
-        sharded,
+        GraphPartitioner(num_shards).partition(graph),
         injective=injective,
-        fallback=ShardedMatcher(sharded, injective=injective),
+        fallback=PatternMatcher(graph, injective=injective),
     )
 
 
-def assert_sharded_and_affine_agree(graph, query, num_shards, injective=True):
-    """The satellite's dual assertion: the case must hold through
-    ``ShardedMatcher`` directly AND through the affine slice path."""
+def assert_blocks_and_affine_agree(graph, query, num_shards, injective=True):
+    """The dual assertion: the case must hold through per-shard
+    seed-restricted blocks of the full-graph matcher (the coordinator
+    fallback's decomposition) AND through the affine slice path."""
     reference = PatternMatcher(graph, injective=injective)
     expected_count = reference.count(query)
     expected_matches = result_key(reference.match(query))
-    sharded = ShardedMatcher(
-        GraphPartitioner(num_shards).partition(graph), injective=injective
+    shards = GraphPartitioner(num_shards).partition(graph).shards
+    order = canonical_edge_order(query)
+    assert expected_count == sum(
+        reference.count(query, edge_order=order, seed_restrict=shard.vertex_ids)
+        for shard in shards
     )
-    assert sharded.count(query) == expected_count
-    assert result_key(sharded.match(query)) == expected_matches
+    blocks = [
+        binding
+        for shard in shards
+        for binding in reference.match(
+            query, edge_order=order, seed_restrict=shard.vertex_ids
+        )
+    ]
+    assert result_key(blocks) == expected_matches
     affine = affine_evaluator(graph, num_shards, injective=injective)
     assert affine.count(query) == expected_count
     assert result_key(affine.match(query)) == expected_matches
@@ -84,7 +92,7 @@ class TestCrossShardEdgeCases:
         q.add_edge(x, y, types={"likes"}, directions=BOTH_DIRECTIONS)
         for num_shards in (2, 3):
             # homomorphic: self-loops are injectively unmatchable
-            count = assert_sharded_and_affine_agree(
+            count = assert_blocks_and_affine_agree(
                 g, q, num_shards, injective=False
             )
             assert count > 0
@@ -104,7 +112,7 @@ class TestCrossShardEdgeCases:
             x = q.add_vertex(predicates={"type": equals("node")})
             y = q.add_vertex()
             q.add_edge(x, y, types=types)
-            count = assert_sharded_and_affine_agree(g, q, 2)
+            count = assert_blocks_and_affine_agree(g, q, 2)
             assert count > 0
 
     def test_empty_shard(self):
@@ -118,7 +126,7 @@ class TestCrossShardEdgeCases:
         x = q.add_vertex(predicates={"type": equals("x")})
         y = q.add_vertex(predicates={"type": equals("y")})
         q.add_edge(x, y, types={"rel"})
-        assert assert_sharded_and_affine_agree(g, q, 5) == 1
+        assert assert_blocks_and_affine_agree(g, q, 5) == 1
 
     def test_seed_pool_confined_to_one_shard(self):
         """Every seed candidate lives in shard 0; the other shards'
@@ -133,7 +141,7 @@ class TestCrossShardEdgeCases:
         x = q.add_vertex(predicates={"type": equals("rare")})
         y = q.add_vertex(predicates={"type": equals("common")})
         q.add_edge(x, y, types={"rel"})
-        assert assert_sharded_and_affine_agree(g, q, 4) == 2
+        assert assert_blocks_and_affine_agree(g, q, 4) == 2
         # the seed-owning shard served its block locally; no block
         # needed the coordinator (empty-seed shards return 0 directly)
         affine = affine_evaluator(g, 4)
@@ -301,7 +309,7 @@ def affine_graph():
 @pytest.fixture(scope="module")
 def affine_executor(affine_graph):
     with ProcessExecutor(
-        affine_graph, max_workers=2, shards=4, placement="affine"
+        affine_graph, max_workers=2, shards=4
     ) as executor:
         executor.warm_up()
         yield executor
@@ -313,17 +321,14 @@ class TestAffineProcessExecutor:
 
     def test_protocol_and_placement_surface(self, affine_executor):
         assert affine_executor.supports_queries
-        assert affine_executor.supports_placement
-        assert affine_executor.placement_mode == "affine"
+        assert affine_executor.affine
         info = affine_executor.info()["pools"]
         assert info["placement"] == "affine"
         assert info["placement_map"] == {0: 0, 1: 1, 2: 0, 3: 1}
 
     def test_warm_up_spawns_one_process_per_worker(self, affine_graph):
-        with ProcessExecutor(
-            affine_graph, max_workers=2, shards=2, placement="affine"
-        ) as executor:
-            pids = executor.warm_up(barrier_s=0.05)
+        with ProcessExecutor(affine_graph, max_workers=2, shards=2) as executor:
+            pids = executor.warm_up()
             assert len(pids) == 2
             assert len(set(pids)) == 2
 
@@ -367,48 +372,6 @@ class TestAffineProcessExecutor:
         assert affine_executor.run_queries([q]) == [expected]
         assert affine_executor.affine_fallbacks == before + 1
 
-    def test_sharded_matcher_routes_blocks_to_owners(
-        self, affine_graph, affine_executor
-    ):
-        sharded = ShardedMatcher(
-            GraphPartitioner(4).partition(affine_graph), executor=affine_executor
-        )
-        reference = PatternMatcher(affine_graph)
-        for query in (
-            typed_query("person", "workAt"),
-            typed_query("person", "missingEdgeType"),
-        ):
-            assert sharded.count(query) == reference.count(query)
-            assert sharded.count(query, limit=2) == reference.count(query, limit=2)
-
-    def test_sharded_matcher_rejects_mismatched_partition(
-        self, affine_graph, affine_executor
-    ):
-        other = ShardedMatcher(
-            GraphPartitioner(2).partition(affine_graph), executor=affine_executor
-        )
-        with pytest.raises(ValueError):
-            other.count(typed_query("person", "workAt"))
-
-    def test_sharded_matcher_rejects_facade_of_different_graph(
-        self, affine_graph, affine_executor
-    ):
-        """Version counters collide trivially across graphs (both count
-        mutations); the identity of the partitioned graph must decide."""
-        twin = PropertyGraph()
-        for tag in range(6):  # same construction -> same version counter
-            p = twin.add_vertex(type="person", name=f"p{tag}")
-            u = twin.add_vertex(type="university", name=f"u{tag % 2}")
-            twin.add_edge(p, u, "workAt", sinceYear=2000 + tag)
-            twin.add_edge(p, u, "studyAt")
-            twin.add_edge(p, p, "knows")
-        assert twin.version == affine_graph.version
-        mismatched = ShardedMatcher(
-            GraphPartitioner(4).partition(twin), executor=affine_executor
-        )
-        with pytest.raises(ValueError):
-            mismatched.count(typed_query("person", "workAt"))
-
     def test_payload_accounting(self, affine_executor):
         info = affine_executor.info()["pools"]
         assert len(info["payload_bytes_per_worker"]) == 2
@@ -423,9 +386,7 @@ class TestAffineProcessExecutor:
         b = g.add_vertex(type="university", name="uni")
         g.add_edge(a, b, "workAt")
         query = typed_query("person", "workAt")
-        with ProcessExecutor(
-            g, max_workers=1, shards=2, placement="affine"
-        ) as executor:
+        with ProcessExecutor(g, max_workers=1, shards=2) as executor:
             assert executor.run_queries([query]) == [1]
             rebuilds = executor.pool_rebuilds
             c = g.add_vertex(type="person", name="later")
@@ -434,15 +395,21 @@ class TestAffineProcessExecutor:
             assert executor.pool_rebuilds == rebuilds + 1
             assert executor.info()["pools"]["snapshot_version"] == g.version
 
-    def test_submit_block_requires_affine(self, affine_graph):
+    def test_one_shard_count_sharded_is_a_plain_count(self, affine_graph):
+        """``shards == 1`` is the full-snapshot pool: no partition, no
+        affine pools, and ``count_sharded`` is a plain pool count."""
+        query = typed_query("person", "workAt")
         with ProcessExecutor(affine_graph, max_workers=1) as executor:
-            assert not executor.supports_placement
-            with pytest.raises(RuntimeError):
-                executor.submit_block(0, typed_query("person", "workAt"))
+            assert not executor.affine
+            assert executor.count_sharded(query) == 6
+            pools = executor.info()["pools"]
+        assert pools["placement"] == "full"
+        assert pools["sharded_counts"] == 0
+        assert pools["queries_shipped"] == 1
 
     def test_validation(self, affine_graph):
         with pytest.raises(ValueError):
-            ProcessExecutor(affine_graph, placement="sticky")
+            ProcessExecutor(affine_graph, shards=0)
 
 
 class TestAffineTrajectoryIdentity:
@@ -498,7 +465,7 @@ class TestServiceAffinePlacement:
         query = self.failing_query()
         reference = WhyQueryService().explain(affine_graph, query)
         with WhyQueryService(
-            executor="process", process_workers=1, shards=2, placement="affine"
+            executor="process", process_workers=1, shards=2
         ) as service:
             report = service.explain(affine_graph, query)
             stats = service.stats()
@@ -512,6 +479,4 @@ class TestServiceAffinePlacement:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WhyQueryService(executor="process", placement="sticky")
-        with pytest.raises(ValueError):
-            WhyQueryService(placement="affine")  # needs executor="process"
+            WhyQueryService(shards=2)  # affine placement needs executor="process"

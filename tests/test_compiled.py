@@ -26,7 +26,7 @@ from repro.matching import (
     csr_for,
     csr_stats,
 )
-from repro.shard import GraphPartitioner, ShardedMatcher, ShardMiss, SliceEvaluator
+from repro.shard import GraphPartitioner, ShardMiss, SliceEvaluator
 
 
 def oracle_pair(graph, injective=True):
@@ -201,7 +201,7 @@ class TestSeedRestrict:
 
     def test_shard_partition_restricts(self, tiny_graph, two_hop):
         # per-shard seed_restrict counts must partition the total --
-        # exactly how ShardedMatcher drives the clamp
+        # exactly how the affine coordinator fallback drives the clamp
         sharded = GraphPartitioner(3).partition(tiny_graph)
         compiled = PatternMatcher(tiny_graph, compiled=True)
         total = compiled.count(two_hop)
@@ -329,10 +329,6 @@ class TestProgramInternals:
 
             MatchProgram(csr_for(tiny_graph), [], q)
 
-    def test_typed_adjacency_off_keeps_the_oracle_interpreted(self, tiny_graph):
-        matcher = PatternMatcher(tiny_graph, typed_adjacency=False, compiled=True)
-        assert not matcher.compiled
-
 
 class TestPartialGraphs:
     def test_slice_local_evaluation_compiled(self, tiny_graph, two_hop):
@@ -340,7 +336,7 @@ class TestPartialGraphs:
         evaluator = SliceEvaluator.for_sharded(
             sharded,
             compiled=True,
-            fallback=ShardedMatcher(sharded, compiled=True),
+            fallback=PatternMatcher(tiny_graph, compiled=True),
         )
         oracle = PatternMatcher(tiny_graph)
         assert evaluator.count(two_hop) == oracle.count(two_hop)

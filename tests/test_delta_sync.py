@@ -377,9 +377,7 @@ def hub_query() -> GraphQuery:
 class TestWorkerCatchUp:
     def test_warm_pool_absorbs_deltas_then_rebuilds_on_vertex_add(self):
         g = big_graph()
-        with ProcessExecutor(
-            g, max_workers=2, shards=4, placement="affine"
-        ) as executor:
+        with ProcessExecutor(g, max_workers=2, shards=4) as executor:
             q = hub_query()
             expected = PatternMatcher(g).count(q)
             assert executor.count_sharded(q) == expected
@@ -412,9 +410,7 @@ class TestWorkerCatchUp:
 
     def test_catchup_reships_fewer_bytes_than_rewarm(self):
         g = big_graph()
-        with ProcessExecutor(
-            g, max_workers=2, shards=4, placement="affine"
-        ) as executor:
+        with ProcessExecutor(g, max_workers=2, shards=4) as executor:
             q = hub_query()
             executor.count_sharded(q)
             mutations = 3

@@ -35,7 +35,7 @@ class TestTypedAdjacency:
             ]
             assert sorted(typed_in) == sorted(tiny_graph.in_edges(vid))
 
-    def test_typed_adjacency_maintained_on_add_edge(self, tiny_graph):
+    def test_typed_lists_maintained_on_add_edge(self, tiny_graph):
         new = tiny_graph.add_edge(0, 3, "knows")
         assert new in tiny_graph.out_edges_of_type(0, "knows")
         assert new in tiny_graph.in_edges_of_type(3, "knows")
@@ -70,13 +70,23 @@ class TestTypedAdjacency:
 
 class TestTypedExpansion:
     def test_typed_and_untyped_matchers_agree(self, tiny_graph):
+        # the type-set walk must find exactly the untyped walk's matches
+        # whose edge carries one of the query's types
         q = GraphQuery()
         p = q.add_vertex(predicates={"type": equals("person")})
         u = q.add_vertex(predicates={"type": equals("university")})
         q.add_edge(p, u, types={"workAt", "studyAt"}, directions=BOTH_DIRECTIONS)
-        typed = PatternMatcher(tiny_graph)
-        legacy = PatternMatcher(tiny_graph, typed_adjacency=False)
-        assert typed.count(q) == legacy.count(q) == 4
+        untyped = GraphQuery()
+        p = untyped.add_vertex(predicates={"type": equals("person")})
+        u = untyped.add_vertex(predicates={"type": equals("university")})
+        e = untyped.add_edge(p, u, directions=BOTH_DIRECTIONS)
+        matcher = PatternMatcher(tiny_graph)
+        filtered = [
+            m
+            for m in matcher.match(untyped)
+            if tiny_graph.edge(m.data_edge(e)).type in {"workAt", "studyAt"}
+        ]
+        assert matcher.count(q) == len(filtered) == 4
 
     def test_typed_expansion_visits_strictly_fewer_edges(self, tiny_graph):
         # tud(4) has 3 incoming edges but only 1 of type studyAt; the
@@ -85,10 +95,15 @@ class TestTypedExpansion:
         u = q.add_vertex(predicates={"type": equals("university")})
         s = q.add_vertex()
         q.add_edge(s, u, types={"studyAt"})
+        untyped = GraphQuery()
+        u = untyped.add_vertex(predicates={"type": equals("university")})
+        s = untyped.add_vertex()
+        untyped.add_edge(s, u)
         typed = PatternMatcher(tiny_graph)
-        legacy = PatternMatcher(tiny_graph, typed_adjacency=False)
-        assert typed.count(q) == legacy.count(q) == 1
-        assert typed.steps < legacy.steps
+        assert typed.count(q) == 1
+        walk_all = PatternMatcher(tiny_graph)
+        assert walk_all.count(untyped) == 4  # incoming edges of every type
+        assert typed.steps < walk_all.steps
 
     def test_self_loop_under_both_directions_yields_once(self):
         g = PropertyGraph()

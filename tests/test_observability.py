@@ -484,6 +484,14 @@ class TestProcessExecutorObservability:
         # the workers' own kinds are replayed under the worker spans
         assert SPAN_MATCH in kinds
 
+    def test_full_snapshot_worker_spans_cross_the_boundary(self, obs_executor):
+        """The one-shard (full snapshot) pool grafts worker spans too."""
+        with ProcessExecutor(obs_executor.graph, max_workers=1) as executor:
+            tracer = Tracer()
+            with tracer.activate():
+                assert executor.run_queries([working_query()]) == [6]
+        assert {SPAN_WORKER, SPAN_MATCH} <= tracer.kinds()
+
     def test_untraced_batches_are_unchanged(self, obs_executor):
         assert current_tracer() is NULL_TRACER
         assert obs_executor.run_queries([working_query()]) == [6]

@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) for the core data structures and
 metric invariants, plus the **randomized differential oracle suite**:
 seeded random graphs and queries run through every execution path --
-serial ``PatternMatcher`` (the oracle), the compiled CSR backend,
-``ShardedMatcher`` at shard counts {1, 2, 4}, the shard-affine slice
-path, the compiled shard-affine slice path and the wire protocol --
+serial ``PatternMatcher`` (the oracle), the compiled CSR backend, the
+shard-affine slice path and the compiled shard-affine slice path at
+shard counts {1, 2, 4}, and the wire protocol --
 asserting count value-identity and match-set permutation-identity
 everywhere.  Seeds are fixed in-code so every failure reproduces."""
 
@@ -33,7 +33,7 @@ from repro.metrics.result_distance import result_graph_distance
 from repro.core.result import ResultGraph
 from repro.metrics.syntactic import syntactic_distance
 from repro.obs import SPAN_BLOCK, SPAN_FALLBACK, SPAN_MATCH, SPAN_PLAN, Tracer
-from repro.shard import GraphPartitioner, ShardedMatcher, SliceEvaluator
+from repro.shard import GraphPartitioner, SliceEvaluator
 
 # -- strategies ---------------------------------------------------------------
 
@@ -469,13 +469,6 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
         sharded_graph = GraphPartitioner(num_shards).partition(graph)
         context = (num_shards, query.signature())
 
-        # path 3: per-shard fan-out with deterministic ascending merge
-        sharded = ShardedMatcher(sharded_graph, injective=injective)
-        assert sharded.count(query) == expected_count, context
-        assert match_key(sharded.match(query)) == expected_matches, context
-        for limit, bounded in expected_bounded.items():
-            assert sharded.count(query, limit=limit) == bounded, (context, limit)
-
         # path 4: shard-affine placement -- per-shard wire payloads,
         # slice-local evaluation, coordinator fallback on misses (the
         # identical code path the affine ProcessExecutor workers run,
@@ -484,7 +477,7 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
         affine = SliceEvaluator.for_sharded(
             sharded_graph,
             injective=injective,
-            fallback=ShardedMatcher(sharded_graph, injective=injective),
+            fallback=PatternMatcher(graph, injective=injective),
         )
         assert affine.count(query) == expected_count, context
         assert match_key(affine.match(query)) == expected_matches, context
@@ -499,9 +492,7 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
             sharded_graph,
             injective=injective,
             compiled=True,
-            fallback=ShardedMatcher(
-                sharded_graph, injective=injective, compiled=True
-            ),
+            fallback=PatternMatcher(graph, injective=injective, compiled=True),
         )
         assert affine_compiled.count(query) == expected_count, context
         assert match_key(affine_compiled.match(query)) == expected_matches, context
@@ -519,7 +510,6 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
     per_path = {
         "serial": traced_count_kinds(oracle, query),
         "compiled": traced_count_kinds(compiled, query),
-        "sharded": traced_count_kinds(sharded, query),
     }
     for path, kinds in per_path.items():
         assert core <= kinds, (path, kinds, query.signature())
@@ -530,7 +520,7 @@ def assert_paths_agree(graph, query, injective, limits=(1, 3), client=None):
     affine_cold = SliceEvaluator.for_sharded(
         sharded_graph,
         injective=injective,
-        fallback=ShardedMatcher(sharded_graph, injective=injective),
+        fallback=PatternMatcher(graph, injective=injective),
     )
     affine_kinds = traced_count_kinds(affine_cold, query)
     assert SPAN_BLOCK in affine_kinds or SPAN_FALLBACK in affine_kinds, (
@@ -573,7 +563,7 @@ def random_mutations(rng: random.Random, graph: PropertyGraph, k: int) -> None:
 
 class TestMutateBetweenQueries:
     """Delta-sync oracle: random deltas interleaved between query
-    rounds.  After every mutation batch all six execution paths must
+    rounds.  After every mutation batch all five execution paths must
     re-agree on the mutated graph, and one *persistent* compiled
     matcher -- whose shared CSR entry follows the graph via in-place
     patches, never a rebuild -- must stay count- and steps-identical to
@@ -629,9 +619,9 @@ class TestMutateBetweenQueries:
 
 
 class TestDifferentialOracle:
-    """Acceptance: >= 100 seeded random cases, six execution paths
-    (serial, compiled, sharded 1/2/4, affine, affine-compiled, wire),
-    zero divergences."""
+    """Acceptance: >= 100 seeded random cases, five execution paths
+    (serial, compiled, affine 1/2/4, affine-compiled 1/2/4, wire), zero
+    divergences."""
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_all_execution_paths_agree(self, seed, wire_client):

@@ -515,6 +515,43 @@ class TestShutdownMessage:
         handle._thread.join(timeout=30)
         assert not handle._thread.is_alive()
 
+    def test_remote_shutdown_of_serve_command_exits_cleanly(self):
+        """``python -m repro serve`` shut down remotely while the client
+        is still connected exits 0 without logging a traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--allow-remote-shutdown"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline().strip()
+            host, port = banner.rsplit(" ", 1)[1].rsplit(":", 1)
+            client = connect(host, int(port))
+            assert client.shutdown_server()["type"] == "ok"
+            # the connection stays open until the server has exited
+            _, stderr = proc.communicate(timeout=60)
+            client.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
+
 
 # -- async client ----------------------------------------------------------------
 

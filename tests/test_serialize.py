@@ -127,8 +127,8 @@ class TestGraphRoundTrip:
         assert PatternMatcher(restored).count(q) == PatternMatcher(tiny_graph).count(q)
 
 
-def typed_adjacency_state(graph):
-    """Everything the typed-adjacency walk can observe, per vertex."""
+def typed_lists_state(graph):
+    """Everything the typed adjacency walk can observe, per vertex."""
     state = {}
     for vid in graph.vertices():
         state[vid] = {
@@ -180,15 +180,15 @@ class TestGraphSnapshotExactness:
         restored.add_vertex(type="person")
         assert restored.version == before + 1
 
-    def test_typed_adjacency_state_round_trips_exactly(self, tiny_graph):
+    def test_typed_lists_state_round_trips_exactly(self, tiny_graph):
         restored = graph_from_dict(graph_to_dict(tiny_graph))
-        assert typed_adjacency_state(restored) == typed_adjacency_state(tiny_graph)
+        assert typed_lists_state(restored) == typed_lists_state(tiny_graph)
 
     def test_awkward_graph_round_trips_exactly(self):
         graph = build_awkward_graph()
         restored = graph_from_dict(graph_to_dict(graph))
         assert restored.version == graph.version
-        assert typed_adjacency_state(restored) == typed_adjacency_state(graph)
+        assert typed_lists_state(restored) == typed_lists_state(graph)
         # insertion order survives, not just set equality
         assert [r.eid for r in restored.edges()] == [r.eid for r in graph.edges()]
         assert list(restored.vertices()) == list(graph.vertices())
@@ -197,7 +197,7 @@ class TestGraphSnapshotExactness:
     def test_awkward_graph_round_trips_through_json(self):
         graph = build_awkward_graph()
         restored = graph_from_dict(json.loads(json.dumps(graph_to_dict(graph))))
-        assert typed_adjacency_state(restored) == typed_adjacency_state(graph)
+        assert typed_lists_state(restored) == typed_lists_state(graph)
         assert restored.version == graph.version
 
     def test_matcher_trajectory_identical_after_round_trip(self):
@@ -318,31 +318,31 @@ class TestShardWireRoundTrip:
         assert rebuilt.vids == sharded.shards[0].vids
 
     def test_owned_and_halo_partition(self):
-        sharded = self.awkward_sharded()
+        graph = build_awkward_graph()
+        sharded = GraphPartitioner(2).partition(graph)
         for index in range(2):
             slice_ = shard_from_wire(shard_to_wire(sharded, index))
             shard = sharded.shards[index]
             assert slice_.vertex_ids == shard.vertex_ids
             for vid in shard.vids:
-                assert slice_.vertex_attributes(vid) == (
-                    sharded.vertex_attributes(vid)
-                )
-                assert list(slice_.out_edges(vid)) == list(sharded.out_edges(vid))
-                assert list(slice_.in_edges(vid)) == list(sharded.in_edges(vid))
-                for t in sharded.edge_types():
+                assert slice_.vertex_attributes(vid) == graph.vertex_attributes(vid)
+                assert list(slice_.out_edges(vid)) == list(graph.out_edges(vid))
+                assert list(slice_.in_edges(vid)) == list(graph.in_edges(vid))
+                for t in graph.edge_types():
                     assert list(slice_.out_edges_of_type(vid, t)) == list(
-                        sharded.out_edges_of_type(vid, t)
+                        graph.out_edges_of_type(vid, t)
                     )
                     assert list(slice_.in_edges_of_type(vid, t)) == list(
-                        sharded.in_edges_of_type(vid, t)
+                        graph.in_edges_of_type(vid, t)
                     )
             # halo: remote endpoints of boundary edges are readable
-            for eid in shard.boundary_out + shard.boundary_in:
-                record = sharded.edge(eid)
-                for vid in (record.source, record.target):
-                    assert slice_.vertex_attributes(vid) == (
-                        sharded.vertex_attributes(vid)
-                    )
+            for eids in sharded.boundary_rows(index).values():
+                for eid in eids:
+                    record = graph.edge(eid)
+                    for vid in (record.source, record.target):
+                        assert slice_.vertex_attributes(vid) == (
+                            graph.vertex_attributes(vid)
+                        )
 
     def test_boundary_rows_projected(self):
         sharded = self.awkward_sharded()

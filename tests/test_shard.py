@@ -1,9 +1,9 @@
 """Sharded partitioning + process-parallel evaluation (repro.shard).
 
-Acceptance (ISSUE 4): at batch size 1 the ProcessExecutor reproduces the
-serial search trajectory bit-identically, and ShardedGraph candidate /
-expansion results are permutation-identical to the unsharded matcher
-across shard counts {1, 2, 4}.
+Acceptance: at batch size 1 the ProcessExecutor reproduces the serial
+search trajectory bit-identically, and per-shard seed-restricted blocks
+merge to results permutation-identical to the unsharded matcher across
+shard counts {1, 2, 4}.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.core import (
     GraphQuery,
     PropertyGraph,
     equals,
-    one_of,
 )
 from repro.core.errors import UnknownVertexError
 from repro.exec import (
@@ -33,7 +32,7 @@ from repro.shard import (
     GraphPartitioner,
     ProcessExecutor,
     ShardedGraph,
-    ShardedMatcher,
+    canonical_edge_order,
 )
 
 SHARD_COUNTS = (1, 2, 4)
@@ -87,7 +86,7 @@ class TestGraphPartitioner:
         g.add_edge(a, b, "rel")
         sharded = GraphPartitioner(5).partition(g)
         assert sharded.num_shards == 5
-        assert sharded.num_vertices == 2
+        assert sum(shard.num_vertices for shard in sharded.shards) == 2
         assert sharded.shard_of(a).index != sharded.shard_of(b).index
         # the cross-shard edge lands in the boundary index
         assert sharded.boundary_edges() == frozenset({0})
@@ -100,18 +99,18 @@ class TestGraphPartitioner:
                 != sharded2.shard_of(record.target).index
             )
             assert (record.eid in boundary) == crosses
-        # pairwise lists partition the boundary set
-        pairwise = set()
-        for i in range(sharded2.num_shards):
-            for j in range(sharded2.num_shards):
-                pairwise.update(sharded2.boundary_between(i, j))
-        assert pairwise == set(boundary)
-        # per-shard views agree with the pairwise index
+        # the per-shard row projections cover the boundary set, and each
+        # row's edges run from its source shard into its target shard
+        edges = {record.eid: record for record in tiny_graph.edges()}
+        projected = set()
         for shard in sharded2.shards:
-            for eid in shard.boundary_out:
-                assert sharded2.edge(eid).source in shard.vertex_ids
-            for eid in shard.boundary_in:
-                assert sharded2.edge(eid).target in shard.vertex_ids
+            for (source, target), eids in sharded2.boundary_rows(shard.index).items():
+                assert shard.index in (source, target)
+                for eid in eids:
+                    assert sharded2.shard_of(edges[eid].source).index == source
+                    assert sharded2.shard_of(edges[eid].target).index == target
+                projected.update(eids)
+        assert projected == set(boundary)
 
     def test_partition_stats(self, sharded2, tiny_graph):
         stats = sharded2.partition_stats()
@@ -127,80 +126,28 @@ class TestGraphPartitioner:
 
 
 class TestShardedGraphFacade:
-    """The façade must agree with the source graph accessor-by-accessor."""
+    """The partition snapshot must agree with the source graph on
+    everything the affine payloads are cut from."""
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_accessors_match_source(self, tiny_graph, num_shards):
         sharded = GraphPartitioner(num_shards).partition(tiny_graph)
         assert sharded.version == tiny_graph.version
-        assert sharded.num_vertices == tiny_graph.num_vertices
-        assert sharded.num_edges == tiny_graph.num_edges
-        assert sharded.edge_types() == tiny_graph.edge_types()
-        assert sharded.edge_type_counts() == tiny_graph.edge_type_counts()
-        assert list(sharded.vertices()) == sorted(tiny_graph.vertices())
+        assert sharded.source is tiny_graph
         assert [r.eid for r in sharded.edges()] == [
             r.eid for r in tiny_graph.edges()
         ]
+        owned = [vid for shard in sharded.shards for vid in shard.vids]
+        assert owned == sorted(tiny_graph.vertices())
         for vid in tiny_graph.vertices():
             assert sharded.vertex_attributes(vid) == tiny_graph.vertex_attributes(vid)
-            assert list(sharded.out_edges(vid)) == list(tiny_graph.out_edges(vid))
-            assert list(sharded.in_edges(vid)) == list(tiny_graph.in_edges(vid))
-            assert sharded.degree(vid) == tiny_graph.degree(vid)
-            for t in tiny_graph.edge_types():
-                assert list(sharded.out_edges_of_type(vid, t)) == list(
-                    tiny_graph.out_edges_of_type(vid, t)
-                )
-                assert list(sharded.in_edges_of_type(vid, t)) == list(
-                    tiny_graph.in_edges_of_type(vid, t)
-                )
-                assert sharded.out_degree_of_type(vid, t) == (
-                    tiny_graph.out_degree_of_type(vid, t)
-                )
-        for t in tiny_graph.edge_types():
-            assert sharded.edges_of_type(t) == tiny_graph.edges_of_type(t)
-            assert sharded.num_edges_of_type(t) == tiny_graph.num_edges_of_type(t)
-        assert set(sharded.vertex_attr_values("type")) == set(
-            tiny_graph.vertex_attr_values("type")
-        )
-        assert sharded.vertex_value_counts("name") == (
-            tiny_graph.vertex_value_counts("name")
-        )
-        for value in ("person", "university", "city"):
-            assert sharded.vertices_with("type", value) == (
-                tiny_graph.vertices_with("type", value)
-            )
-            assert sharded.num_vertices_with("type", value) == (
-                tiny_graph.num_vertices_with("type", value)
-            )
-
-    def test_read_only(self, sharded2):
-        with pytest.raises(TypeError):
-            sharded2.add_vertex(type="person")
-        with pytest.raises(TypeError):
-            sharded2.add_edge(0, 1, "knows")
-
-    def test_subgraph_matches_source(self, sharded2, tiny_graph):
-        keep = [0, 1, 4]
-        sub = sharded2.subgraph(keep)
-        ref = tiny_graph.subgraph(keep)
-        assert sub.num_vertices == ref.num_vertices
-        assert sub.num_edges == ref.num_edges
-        assert sub.edge_type_counts() == ref.edge_type_counts()
-
-    def test_unmodified_matcher_runs_on_facade(self, tiny_graph, sharded2):
-        """The façade is a drop-in evaluation substrate: a plain
-        PatternMatcher (and a whole ExecutionContext) accepts it."""
-        query = typed_query("person", "workAt")
-        assert PatternMatcher(sharded2).count(query) == (
-            PatternMatcher(tiny_graph).count(query)
-        )
-        context = ExecutionContext(sharded2)
-        assert context.count(query) == 3
-        assert context.statistics.estimate_query_cardinality(query) > 0
+            assert sharded.shard_of(vid).owns(vid)
 
 
-class TestShardedMatcher:
-    """Acceptance: permutation-identical results across shard counts."""
+class TestShardBlocks:
+    """Acceptance: per-shard seed-restricted blocks of one matcher merge
+    to permutation-identical results across shard counts -- the
+    decomposition affine placement and its coordinator fallback use."""
 
     def queries(self):
         knows_both = GraphQuery()
@@ -222,20 +169,40 @@ class TestShardedMatcher:
             "knows_both": knows_both,
             "two_hop": two_hop,
             "untyped_seed": untyped_vertex,
-            "names": GraphQuery(),
         }
+
+    @staticmethod
+    def block_matches(matcher, graph, num_shards, query):
+        order = canonical_edge_order(query)
+        return [
+            binding
+            for shard in GraphPartitioner(num_shards).partition(graph).shards
+            for binding in matcher.match(
+                query, edge_order=order, seed_restrict=shard.vertex_ids
+            )
+        ]
+
+    @staticmethod
+    def block_count(matcher, graph, num_shards, query, limit=None):
+        order = canonical_edge_order(query)
+        total = sum(
+            matcher.count(
+                query, limit=limit, edge_order=order, seed_restrict=shard.vertex_ids
+            )
+            for shard in GraphPartitioner(num_shards).partition(graph).shards
+        )
+        return total if limit is None else min(total, limit)
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_match_permutation_identical(self, tiny_graph, num_shards):
         reference = PatternMatcher(tiny_graph)
-        sharded = ShardedMatcher(GraphPartitioner(num_shards).partition(tiny_graph))
         for name, query in self.queries().items():
-            if query.num_vertices == 0:
-                continue
             expected = reference.match(query)
-            merged = sharded.match(query)
+            merged = self.block_matches(reference, tiny_graph, num_shards, query)
             assert result_key(merged) == result_key(expected), (name, num_shards)
-            assert sharded.count(query) == expected.cardinality
+            assert self.block_count(reference, tiny_graph, num_shards, query) == (
+                expected.cardinality
+            )
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_self_loop_permutation_identical(self, num_shards):
@@ -250,57 +217,30 @@ class TestShardedMatcher:
         y = q.add_vertex(predicates={"type": equals("node")})
         q.add_edge(x, y, types={"likes"}, directions=BOTH_DIRECTIONS)
         reference = PatternMatcher(g, injective=False)
-        sharded = ShardedMatcher(
-            GraphPartitioner(num_shards).partition(g), injective=False
-        )
-        assert result_key(sharded.match(q)) == result_key(reference.match(q))
+        merged = self.block_matches(reference, g, num_shards, q)
+        assert result_key(merged) == result_key(reference.match(q))
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_bounded_count_value_identical(self, tiny_graph, num_shards):
         reference = PatternMatcher(tiny_graph)
-        sharded = ShardedMatcher(GraphPartitioner(num_shards).partition(tiny_graph))
         query = typed_query("person", "workAt")
         for limit in (1, 2, 3, 100):
-            assert sharded.count(query, limit=limit) == reference.count(
-                query, limit=limit
-            ), (num_shards, limit)
+            assert self.block_count(
+                reference, tiny_graph, num_shards, query, limit=limit
+            ) == reference.count(query, limit=limit), (num_shards, limit)
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_candidates_partition_the_merged_set(self, tiny_graph, num_shards):
-        sharded_graph = GraphPartitioner(num_shards).partition(tiny_graph)
-        sharded = ShardedMatcher(sharded_graph)
-        query = GraphQuery()
-        vid = query.add_vertex(
-            predicates={"type": equals("person"), "name": one_of("Anna", "Bob")}
+    def test_exists_per_shard(self, tiny_graph, sharded2):
+        matcher = PatternMatcher(tiny_graph)
+        found = typed_query("person", "workAt")
+        missing = typed_query("person", "missingEdgeType")
+        assert any(
+            matcher.exists(found, seed_restrict=shard.vertex_ids)
+            for shard in sharded2.shards
         )
-        merged, per_shard = sharded.candidates(query.vertex(vid))
-        assert merged == frozenset({0, 1})
-        union = set()
-        for index, block in per_shard.items():
-            assert block is not None
-            assert block <= sharded_graph.shards[index].vertex_ids
-            assert not (union & block)  # disjoint
-            union |= block
-        assert union == merged
-
-    def test_unconstrained_vertex_candidates(self, sharded2):
-        query = GraphQuery()
-        vid = query.add_vertex()
-        merged, per_shard = ShardedMatcher(sharded2).candidates(query.vertex(vid))
-        assert merged is None
-        assert all(block is None for block in per_shard.values())
-
-    def test_requires_sharded_graph(self, tiny_graph):
-        with pytest.raises(TypeError):
-            ShardedMatcher(tiny_graph)
-
-    def test_exists_and_info(self, sharded2):
-        sharded = ShardedMatcher(sharded2)
-        assert sharded.exists(typed_query("person", "workAt"))
-        assert not sharded.exists(typed_query("person", "missingEdgeType"))
-        info = sharded.info()
-        assert info["shards"] == 2
-        assert info["shard_tasks"] > 0
+        assert not any(
+            matcher.exists(missing, seed_restrict=shard.vertex_ids)
+            for shard in sharded2.shards
+        )
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +257,7 @@ def process_graph():
 
 @pytest.fixture(scope="module")
 def process_executor(process_graph):
-    with ProcessExecutor(process_graph, max_workers=2, shards=2) as executor:
+    with ProcessExecutor(process_graph, max_workers=2) as executor:
         executor.warm_up()
         yield executor
 
@@ -330,8 +270,8 @@ class TestProcessExecutor:
 
     def test_warm_up_spawns_distinct_workers(self, process_graph):
         with ProcessExecutor(process_graph, max_workers=2) as executor:
-            pids = executor.warm_up(barrier_s=0.1)
-            assert len(set(pids)) == 2
+            pids = executor.warm_up()
+            assert len(pids) == len(set(pids)) == 2
 
     def test_counts_match_in_process_matcher(self, process_graph, process_executor):
         reference = PatternMatcher(process_graph)

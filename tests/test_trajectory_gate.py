@@ -28,9 +28,7 @@ offending_sections = check_trajectory_mod.offending_sections
 def baseline_payload() -> dict:
     return {
         "typed_expansion": {
-            "speedup": 3.0,
             "typed": {"best_s": 0.001, "steps_per_count": 432},
-            "legacy": {"best_s": 0.003, "steps_per_count": 9264},
         },
         "compiled_match": {
             "speedup": 11.0,
@@ -42,12 +40,6 @@ def baseline_payload() -> dict:
             "workers_cap": 2,
             "speedup_2w": 1.8,
             "serial_s": 0.2,
-        },
-        "sharded_expansion": {
-            "cpu_cores": 2,
-            "workers_cap": 2,
-            "speedup_2s": 1.4,
-            "shards": {},
         },
         "affine_placement": {
             "cpu_cores": 2,
@@ -125,6 +117,28 @@ class TestStructuralDrift:
         baseline = baseline_payload()
         gate = check_trajectory(baseline, copy.deepcopy(baseline))
         assert gate.failures == []
+
+    def test_retired_sections_only_in_baseline_are_not_drift(self):
+        """A baseline recorded before a code path was deleted still
+        carries that path's keys; only those exact keys are tolerated."""
+        fresh = baseline_payload()
+        baseline = copy.deepcopy(fresh)
+        baseline["sharded_expansion"] = {"speedup_2s": 0.4, "shards": {}}
+        baseline["typed_expansion"]["speedup"] = 3.0
+        baseline["typed_expansion"]["legacy"] = {"steps_per_count": 9264}
+        gate = check_trajectory(baseline, fresh)
+        assert gate.failures == []
+        retired = [line for line in gate.lines if "retired section" in line]
+        assert len(retired) == 3
+        # a retired key reappearing in a fresh run is still drift
+        assert check_trajectory(fresh, baseline).failures
+
+    def test_typed_expansion_steps_increase_fails(self):
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        fresh["typed_expansion"]["typed"]["steps_per_count"] = 600
+        gate = check_trajectory(baseline, fresh)
+        assert any("typed-expansion steps" in f for f in gate.failures)
 
 
 class TestCoreAwareSpeedupGate:
@@ -274,42 +288,6 @@ class TestCompiledMatchGate:
         assert any("rewrite-batch" in f for f in gate.failures)
 
 
-class TestShardedExpansionGate:
-    def test_always_on_even_on_single_core(self):
-        """Compiled workers repay the IPC round trip without parallelism,
-        so this gate dropped its core-awareness: sub-serial fan-out fails
-        on a 1-core box too."""
-        baseline = baseline_payload()
-        fresh = copy.deepcopy(baseline)
-        fresh["sharded_expansion"].update(cpu_cores=1, speedup_2s=0.6)
-        gate = check_trajectory(baseline, fresh)
-        assert any("sharded-expansion" in f for f in gate.failures)
-
-    def test_lucky_baseline_is_clamped_to_two(self):
-        """A noisy-high committed ratio must not turn ordinary IPC jitter
-        into a gate failure: the baseline contributes at most 2.0."""
-        baseline = baseline_payload()
-        baseline["sharded_expansion"]["speedup_2s"] = 11.0
-        fresh = copy.deepcopy(baseline)
-        fresh["sharded_expansion"]["speedup_2s"] = 1.6  # above 2.0 * 0.75
-        assert check_trajectory(baseline, fresh).failures == []
-        fresh["sharded_expansion"]["speedup_2s"] = 1.4  # below the 1.5 floor
-        gate = check_trajectory(baseline, fresh)
-        assert any("sharded-expansion" in f for f in gate.failures)
-
-    def test_sub_serial_baseline_is_raised_to_one(self):
-        """A committed baseline below 1.0 cannot water the gate down to
-        accepting sub-serial fan-out."""
-        baseline = baseline_payload()
-        baseline["sharded_expansion"]["speedup_2s"] = 0.5
-        fresh = copy.deepcopy(baseline)
-        fresh["sharded_expansion"]["speedup_2s"] = 0.6  # below 1.0 * 0.75
-        gate = check_trajectory(baseline, fresh)
-        assert any("sharded-expansion" in f for f in gate.failures)
-        fresh["sharded_expansion"]["speedup_2s"] = 1.05
-        assert check_trajectory(baseline, fresh).failures == []
-
-
 class TestObservabilityGate:
     def test_below_the_absolute_floor_fails_even_on_single_core(self):
         """Tracing overhead is a pure single-core CPU ratio: the 0.9
@@ -431,7 +409,7 @@ class TestAffinePlacementGate:
         timing gates but must still clear the payload ratio."""
         baseline = baseline_payload()
         fresh = copy.deepcopy(baseline)
-        for section in ("process_pool", "sharded_expansion", "affine_placement"):
+        for section in ("process_pool", "affine_placement"):
             fresh[section]["cpu_cores"] = 1
         fresh["affine_placement"]["payload_ratio_4s"] = 1.2
         gate = check_trajectory(baseline, fresh)
