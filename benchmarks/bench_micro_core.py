@@ -24,7 +24,11 @@ CSR patching and by warm affine-worker catch-up, gated on the patch
 rate and the delta-vs-full-re-warm byte ratio) and the tracing-overhead
 record (``observability``: traced-vs-untraced matcher throughput with a
 fresh activated tracer per request, gated at >= 0.9 so tracing stays
-cheap enough to leave on).  The JSON is the
+cheap enough to leave on) and the cold path(1) estimation record
+(``path1_estimator``: the estimate calls of one why-empty pass replayed
+on fresh graphs, candidate-set probes against a by-definition path(1)
+count over the same keys -- exact, single-core, gated at >= 2x).  The
+JSON is the
 machine-readable
 record of the hot-path performance trajectory; CI diffs a fresh run
 against the committed baseline with ``benchmarks/check_trajectory.py``
@@ -48,8 +52,8 @@ import pathlib
 import random
 import time
 
-from repro.core import GraphQuery, PropertyGraph, equals
-from repro.datasets import ldbc
+from repro.core import Direction, GraphQuery, PropertyGraph, equals
+from repro.datasets import dbpedia, ldbc
 from repro.exec import ExecutionContext
 from repro.matching import (
     PatternMatcher,
@@ -57,6 +61,7 @@ from repro.matching import (
     plan_cache_stats,
     shared_evaluation_cache,
 )
+from repro.matching.candidates import attributes_match
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.result_distance import result_set_distance
 from repro.metrics.syntactic import syntactic_distance
@@ -678,6 +683,117 @@ def _observability_section(batch_rounds: int = 5) -> dict:
     }
 
 
+class _DefinitionStatistics(GraphStatistics):
+    """path(1) counted from its definition: every data edge of the query
+    edge's types re-tested against the edge predicates and both
+    endpoints' attribute maps.  Keys and memo are inherited, so it
+    answers exactly the misses the production estimator answers."""
+
+    def _count_path1(self, qedge, source, target) -> int:
+        graph = self.graph
+        forward = Direction.FORWARD in qedge.directions
+        backward = Direction.BACKWARD in qedge.directions
+        eids = (
+            graph.edge_ids()
+            if qedge.types is None
+            else [eid for t in qedge.types for eid in graph.edges_of_type(t)]
+        )
+        count = 0
+        for eid in eids:
+            record = graph.edge(eid)
+            if not attributes_match(record.attributes, qedge.predicates):
+                continue
+            s = graph.vertex_attributes(record.source)
+            t = graph.vertex_attributes(record.target)
+            if (
+                forward
+                and attributes_match(s, source.predicates)
+                and attributes_match(t, target.predicates)
+            ) or (
+                backward
+                and attributes_match(s, target.predicates)
+                and attributes_match(t, source.predicates)
+            ):
+                count += 1
+        return count
+
+
+_DATASETS = {"ldbc": ldbc, "dbpedia": dbpedia}
+
+
+def _why_empty_estimates() -> list:
+    """The ``estimate_query_cardinality`` calls one pass over the 16
+    why-empty variants makes: ``[(dataset, [query, ...]), ...]``, one
+    entry per variant, each explained by a fresh service on a freshly
+    generated graph."""
+    passes: list = []
+    original = GraphStatistics.estimate_query_cardinality
+
+    def recording(stats, query):
+        passes[-1][1].append(query.copy())
+        return original(stats, query)
+
+    GraphStatistics.estimate_query_cardinality = recording
+    try:
+        for dataset, module in _DATASETS.items():
+            for name in module.queries():
+                for variant in (module.empty_variant, module.empty_variant_edge):
+                    passes.append((dataset, []))
+                    with WhyQueryService() as service:
+                        service.explain(module.generate().graph, variant(name))
+    finally:
+        GraphStatistics.estimate_query_cardinality = original
+    return passes
+
+
+def _path1_estimator_section(rounds: int = 3) -> dict:
+    """Cold path(1) estimation on the why-empty workload.
+
+    Replays the estimate calls of one pass over the 16 why-empty
+    variants, each variant's calls on a freshly generated graph with a
+    fresh statistics provider, so every path(1) key misses once as in a
+    cold explain.  The production estimator (probes of the shared
+    candidate sets) is timed against the by-definition count above over
+    the same keys: per variant the two alternate for ``rounds`` rounds
+    and the best of each is summed, so a burst of load on a shared
+    machine lands on both sides; graph generation is not timed.  The
+    counts must agree exactly (``counts_identical``, asserted); the
+    ratio is single-core pure CPU, gated at >= 2x, not core-aware.
+    """
+    sides = (GraphStatistics, _DefinitionStatistics)
+    totals = dict.fromkeys(sides, 0.0)
+    estimates = misses = 0
+    identical = True
+    passes = _why_empty_estimates()
+    for dataset, queries in passes:
+        best = dict.fromkeys(sides, float("inf"))
+        answers = {}
+        for _ in range(rounds):
+            for statistics_cls in sides:
+                stats = statistics_cls(_DATASETS[dataset].generate().graph)
+                start = time.perf_counter()
+                values = [stats.estimate_query_cardinality(q) for q in queries]
+                best[statistics_cls] = min(
+                    best[statistics_cls], time.perf_counter() - start
+                )
+                answers[statistics_cls] = (values, stats._path1_cache)
+        for statistics_cls in sides:
+            totals[statistics_cls] += best[statistics_cls]
+        identical &= answers[GraphStatistics] == answers[_DefinitionStatistics]
+        estimates += len(queries)
+        misses += len(answers[GraphStatistics][1])
+    estimator_s, definition_s = totals[GraphStatistics], totals[_DefinitionStatistics]
+    return {
+        "variants": len(passes),
+        "estimates": estimates,
+        "path1_misses": misses,
+        "estimator_s": estimator_s,
+        "definition_s": definition_s,
+        "counts_identical": float(identical),
+        "speedup": definition_s / estimator_s if estimator_s > 0 else float("inf"),
+    }
+
+
 def _restart_warm_section() -> dict:
     """Warm-restart persistence (ISSUE 10): kill the service, start a new
     one over the same persist directory, and measure how much evaluation
@@ -849,10 +965,11 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     server_protocol = _server_protocol_section()
     observability = _observability_section()
     restart_warm = _restart_warm_section()
+    path1_estimator = _path1_estimator_section()
 
     payload = {
         "benchmark": "bench_micro_core",
-        "schema_version": 11,
+        "schema_version": 12,
         "typed_expansion": {
             "workload": {
                 "hubs": 48,
@@ -869,6 +986,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         "server_protocol": server_protocol,
         "observability": observability,
         "restart_warm": restart_warm,
+        "path1_estimator": path1_estimator,
         "ops": ops,
         "cache_counters": {
             "plan": plan_cache_stats(ldbc_bundle.graph).as_dict(),
@@ -890,7 +1008,8 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         f"ttfc-ratio {server_protocol['open_loop']['8']['ttfc_ratio']:.2f}, "
         f"tracing-enabled ratio {observability['enabled_ratio']:.2f}, "
         f"restart warm-hit rate {restart_warm['unmutated']['warm_hit_rate']:.2f} "
-        f"(mutated {restart_warm['mutated']['warm_hit_rate']:.2f}) "
+        f"(mutated {restart_warm['mutated']['warm_hit_rate']:.2f}), "
+        f"path(1) estimator speedup {path1_estimator['speedup']:.2f}x "
         f"on {process_pool['cpu_cores']} core(s))"
     )
 
@@ -957,3 +1076,7 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     assert rw_unmutated["counts_identical"], rw_unmutated
     assert 0.0 < rw_mutated["warm_hit_rate"] < 1.0, rw_mutated["warm_hit_rate"]
     assert rw_mutated["counts_identical"], rw_mutated
+    # acceptance: cold path(1) estimation answers from the shared
+    # candidate sets with exactly the by-definition counts (the speedup
+    # is a timing ratio, gated in check_trajectory.py)
+    assert path1_estimator["counts_identical"] == 1.0, path1_estimator

@@ -57,6 +57,12 @@ fails (exit code 1) when the trajectory regressed:
   ``counts_identical`` flags (restored counts bit-identical to cold
   computes -- exact, pass/fail).  All deterministic cache-hit counts,
   never wall-clock, so *not* core-aware;
+* **cold path(1) estimation** (``path1_estimator``): the production
+  estimator's speedup over a by-definition path(1) count on the replayed
+  why-empty estimates must clear the stronger of the committed baseline
+  and the 2x acceptance target (single-core pure CPU, *not*
+  core-aware), and ``counts_identical`` must be exactly 1.0 (every
+  path(1) count and every estimate equal to the by-definition ones);
 * **protocol server** (``server_protocol``): ``streamed_identical``
   must be exactly 1.0 (the streamed explain's final report equals the
   plain remote explain bit-identically), and per open-loop concurrency
@@ -369,6 +375,22 @@ def check_trajectory(
                 "computes (counts_identical is false) -- a restored cache "
                 "entry returned a wrong count"
             )
+    # cold path(1) estimation: a single-core pure-CPU ratio like the
+    # compiled-match speedup, so never skipped; exactness is pass/fail
+    gate.check_not_below(
+        "path(1) estimator speedup",
+        max(dig(baseline, "path1_estimator.speedup"), 2.0),
+        dig(fresh, "path1_estimator.speedup"),
+        max_regression,
+    )
+    if dig(fresh, "path1_estimator.counts_identical") == 1.0:
+        gate.ok("path(1) estimator counts identical to the by-definition counts")
+    else:
+        gate.fail(
+            "path(1) estimator DIVERGED from the by-definition counts "
+            "(counts_identical is false) -- a candidate-set probe "
+            "returned a wrong path(1) cardinality"
+        )
     if dig(fresh, "server_protocol.streamed_identical") == 1.0:
         gate.ok("server-protocol streamed result identical to plain explain")
     else:

@@ -109,7 +109,7 @@ from repro.client import (
 )
 from repro.server import WhyQueryProtocolServer, serve_in_thread
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AdmissionRejected",

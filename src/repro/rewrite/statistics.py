@@ -19,10 +19,16 @@ repeated candidate scoring touches the graph only once per distinct
 constraint.  Vertex candidate sets come from the per-graph shared
 :class:`~repro.matching.evalcache.EvaluationCache`, so the statistics
 provider and the matcher never derive the same candidate set twice.
+path(1) probes those shared sets: one pass over the query edge's typed
+edge-id index settles both endpoints of each record by set membership
+and evaluates only the edge predicates.  The candidate sets follow
+mutations by delta patches, so the counts stay exact without
+re-testing vertex attributes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro.core.graph import PropertyGraph
@@ -81,10 +87,12 @@ class GraphStatistics:
             else:
                 count = sum(self.graph.num_edges_of_type(t) for t in qedge.types)
         else:
-            count = 0
-            for record in self._edges_of_types(qedge.types):
-                if attributes_match(record.attributes, qedge.predicates):
-                    count += 1
+            edge = self.graph.edge
+            count = sum(
+                1
+                for eid in self._edge_ids(qedge.types)
+                if attributes_match(edge(eid).attributes, qedge.predicates)
+            )
         self._edge_cache[key] = count
         return count
 
@@ -109,29 +117,36 @@ class GraphStatistics:
             tuple(sorted(d.value for d in qedge.directions)),
         )
         cached = self._path1_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._path1_cache[key] = self._count_path1(qedge, source, target)
+        return cached
 
+    def _count_path1(
+        self, qedge: QueryEdge, source: QueryVertex, target: QueryVertex
+    ) -> int:
+        """One pass over the query edge's typed edge ids: two
+        candidate-set probes per admitted orientation settle the
+        endpoints (an unconstrained endpoint's set is ``None``), then
+        the edge predicates are evaluated on the records that hit."""
+        sources = self.evalcache.vertex_candidates(source)
+        targets = self.evalcache.vertex_candidates(target)
         forward = Direction.FORWARD in qedge.directions
         backward = Direction.BACKWARD in qedge.directions
+        predicates = qedge.predicates
         count = 0
-        for record in self._edges_of_types(qedge.types):
-            if not attributes_match(record.attributes, qedge.predicates):
-                continue
-            src_attrs = self.graph.vertex_attributes(record.source)
-            tgt_attrs = self.graph.vertex_attributes(record.target)
-            hit = False
-            if forward:
-                hit = attributes_match(src_attrs, source.predicates) and (
-                    attributes_match(tgt_attrs, target.predicates)
-                )
-            if not hit and backward:
-                hit = attributes_match(src_attrs, target.predicates) and (
-                    attributes_match(tgt_attrs, source.predicates)
-                )
-            if hit:
-                count += 1
-        self._path1_cache[key] = count
+        for record in map(self.graph.edge, self._edge_ids(qedge.types)):
+            s, t = record.source, record.target
+            if (
+                forward
+                and (sources is None or s in sources)
+                and (targets is None or t in targets)
+            ) or (
+                backward
+                and (sources is None or t in sources)
+                and (targets is None or s in targets)
+            ):
+                if not predicates or attributes_match(record.attributes, predicates):
+                    count += 1
         return count
 
     def average_path1_cardinality(self, query: GraphQuery) -> float:
@@ -181,11 +196,9 @@ class GraphStatistics:
         in_tree: set = set()
         tree_edges: List[int] = []
         non_tree: List[int] = []
-        edges = sorted(
-            (eid for eid in query.edge_ids
-             if query.edge(eid).source in vertices),
-            key=lambda eid: -self.path1_cardinality(query, eid),
-        )
+        edges = [eid for eid in query.edge_ids if query.edge(eid).source in vertices]
+        path1 = {eid: self.path1_cardinality(query, eid) for eid in edges}
+        edges.sort(key=lambda eid: -path1[eid])
         # Greedy spanning tree preferring high-cardinality edges first so
         # the most significant joins anchor the estimate.
         root = min(vertices)
@@ -216,24 +229,22 @@ class GraphStatistics:
         joined: set = set()
         for eid in tree_edges:
             edge = query.edge(eid)
-            path1 = self.path1_cardinality(query, eid)
             if not joined:
-                estimate = float(path1)
+                estimate = float(path1[eid])
                 joined |= {edge.source, edge.target}
                 continue
             shared = edge.source if edge.source in joined else edge.target
             join_card = max(1, self.vertex_cardinality(query.vertex(shared)))
-            estimate *= path1 / join_card
+            estimate *= path1[eid] / join_card
             joined |= {edge.source, edge.target}
         for eid in non_tree:
             edge = query.edge(eid)
-            path1 = self.path1_cardinality(query, eid)
             denom = max(
                 1,
                 self.vertex_cardinality(query.vertex(edge.source))
                 * self.vertex_cardinality(query.vertex(edge.target)),
             )
-            estimate *= path1 / denom
+            estimate *= path1[eid] / denom
         # Isolated vertices of this component (no edges at all).
         for vid in vertices - in_tree:
             estimate *= self.vertex_cardinality(query.vertex(vid))
@@ -241,13 +252,11 @@ class GraphStatistics:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _edges_of_types(self, types) -> Iterable:
+    def _edge_ids(self, types) -> Iterable[int]:
+        """Edge ids of the given types (every edge when untyped)."""
         if types is None:
-            yield from self.graph.edges()
-            return
-        for t in types:
-            for eid in self.graph.edges_of_type(t):
-                yield self.graph.edge(eid)
+            return self.graph.edge_ids()
+        return chain.from_iterable(self.graph.edges_of_type(t) for t in types)
 
     @staticmethod
     def _shared_vertex(query: GraphQuery, eid_a: int, eid_b: int) -> int:

@@ -26,10 +26,6 @@ class TestPointDistances:
     def test_point_set_empty(self):
         assert point_set_distance("a", set()) == 1.0
 
-    def test_custom_point_distance(self):
-        numeric = lambda a, b: abs(a - b)
-        assert point_set_distance(5, {1, 4, 9}, numeric) == 1.0
-
 
 class TestModifiedHausdorff:
     def test_identical_sets(self):
@@ -71,11 +67,6 @@ class TestModifiedHausdorff:
         d2 = modified_hausdorff(base, {1, 2, 5, 6})
         d3 = modified_hausdorff(base, {1, 5, 6, 7})
         assert d1 <= d2 <= d3
-
-    def test_custom_point_distance_used(self):
-        numeric = lambda a, b: abs(a - b) / 10
-        d = modified_hausdorff({0}, {5}, numeric)
-        assert d == pytest.approx(0.5)
 
 
 class TestJaccard:

@@ -5,7 +5,9 @@ serial ``PatternMatcher`` (the oracle), the compiled CSR backend, the
 shard-affine slice path and the compiled shard-affine slice path at
 shard counts {1, 2, 4}, and the wire protocol --
 asserting count value-identity and match-set permutation-identity
-everywhere.  Seeds are fixed in-code so every failure reproduces."""
+everywhere -- and the path(1) statistics oracle (exact counts against
+the by-definition count, also across mutations).  Seeds are fixed
+in-code so every failure reproduces."""
 
 import random
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BOTH_DIRECTIONS,
+    Direction,
     GraphQuery,
     Interval,
     PropertyGraph,
@@ -24,7 +27,7 @@ from repro.core import (
     one_of,
 )
 from repro.core.predicates import predicate_distance
-from repro.matching import PatternMatcher, csr_stats
+from repro.matching import PatternMatcher, csr_stats, shared_evaluation_cache
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.cardinality import CardinalityThreshold, cardinality_distance
 from repro.metrics.ged import coarse_ged
@@ -33,6 +36,7 @@ from repro.metrics.result_distance import result_graph_distance
 from repro.core.result import ResultGraph
 from repro.metrics.syntactic import syntactic_distance
 from repro.obs import SPAN_BLOCK, SPAN_FALLBACK, SPAN_MATCH, SPAN_PLAN, Tracer
+from repro.rewrite.statistics import GraphStatistics
 from repro.shard import GraphPartitioner, SliceEvaluator
 
 # -- strategies ---------------------------------------------------------------
@@ -102,6 +106,21 @@ class TestMhdProperties:
             assert d > 0.0
         else:
             assert d == 0.0
+
+    @given(atom_sets, atom_sets)
+    def test_closed_form_equals_eq_3_10(self, a, b):
+        """The set-difference closed form equals Eq. 3.10 written out
+        with the Boolean point-set distance of Eq. 3.9 (0 for a member
+        of the other set, 1 otherwise), bit for bit."""
+        if not a and not b:
+            expected = 0.0
+        elif not a or not b:
+            expected = 1.0
+        else:
+            forward = sum(0.0 if x in b else 1.0 for x in a) / len(a)
+            backward = sum(0.0 if y in a else 1.0 for y in b) / len(b)
+            expected = max(forward, backward)
+        assert modified_hausdorff(a, b) == expected
 
 
 # -- predicates ---------------------------------------------------------------------
@@ -616,6 +635,147 @@ class TestMutateBetweenQueries:
                 kinds.update(r[0] for r in graph.deltas_since(version))
                 random_differential_query(rng)
         assert kinds == {"v", "e", "va", "ea"}, kinds
+
+
+PATH1_SEEDS = range(50)
+
+
+def path1_query(rng: random.Random) -> GraphQuery:
+    """A random differential query with edge predicates on ``w``
+    sprinkled over its edges and, now and then, a query self-loop."""
+    query = random_differential_query(rng)
+    for eid in sorted(query.edge_ids):
+        if rng.random() < 0.35:
+            low = rng.randint(0, 3)
+            query.edge(eid).predicates["w"] = (
+                equals(low) if rng.random() < 0.5 else between(low, low + 1)
+            )
+    if rng.random() < 0.3:
+        vid = min(query.vertex_ids)
+        query.add_edge(
+            vid,
+            vid,
+            types={rng.choice(EDGE_TYPES)} if rng.random() < 0.7 else None,
+        )
+    return query
+
+
+def path1_by_definition(graph, query, eid, records=None) -> int:
+    """Sec. 5.2.3 path(1), counted from its definition: every data edge
+    (of ``records``, default all) whose type and predicates match the
+    query edge and whose endpoints satisfy the endpoint predicates in at
+    least one admitted orientation."""
+    qedge = query.edge(eid)
+    source, target = query.vertex(qedge.source), query.vertex(qedge.target)
+
+    def satisfies(attributes, predicates) -> bool:
+        return all(
+            attr in attributes and pred.matches(attributes[attr])
+            for attr, pred in predicates.items()
+        )
+
+    count = 0
+    for record in graph.edges() if records is None else records:
+        if qedge.types is not None and record.type not in qedge.types:
+            continue
+        if not satisfies(record.attributes, qedge.predicates):
+            continue
+        ends = (
+            graph.vertex_attributes(record.source),
+            graph.vertex_attributes(record.target),
+        )
+        orientations = []
+        if Direction.FORWARD in qedge.directions:
+            orientations.append(ends)
+        if Direction.BACKWARD in qedge.directions:
+            orientations.append(ends[::-1])
+        if any(
+            satisfies(s, source.predicates) and satisfies(t, target.predicates)
+            for s, t in orientations
+        ):
+            count += 1
+    return count
+
+
+class TestPath1Oracle:
+    """The path(1) statistic probes the shared, delta-patched vertex
+    candidate sets; it must equal the by-definition count on random
+    graphs, and keep equalling it while one ``GraphStatistics`` and its
+    shared evaluation cache live through random mutations."""
+
+    @staticmethod
+    def assert_path1_exact(stats, graph, query) -> None:
+        stats.estimate_query_cardinality(query)
+        for eid in sorted(query.edge_ids):
+            assert stats.path1_cardinality(query, eid) == path1_by_definition(
+                graph, query, eid
+            ), (query.signature(), eid)
+
+    @pytest.mark.parametrize("seed", PATH1_SEEDS)
+    def test_path1_matches_definition(self, seed):
+        rng = random.Random(20_000 + seed)
+        graph = random_differential_graph(rng)
+        stats = GraphStatistics(graph)
+        for _ in range(3):
+            self.assert_path1_exact(stats, graph, path1_query(rng))
+
+    @pytest.mark.parametrize("seed", PATH1_SEEDS)
+    def test_path1_exact_across_mutations(self, seed):
+        rng = random.Random(30_000 + seed)
+        graph = random_differential_graph(rng)
+        stats = GraphStatistics(graph)
+        queries = [path1_query(rng)]
+        self.assert_path1_exact(stats, graph, queries[0])
+        for _ in range(MUTATION_ROUNDS):
+            random_mutations(rng, graph, rng.randint(1, 6))
+            queries.append(path1_query(rng))
+            # earlier queries re-read candidate sets the mutations patched
+            for query in queries:
+                self.assert_path1_exact(stats, graph, query)
+        assert stats.evalcache is shared_evaluation_cache(graph)
+
+    def test_generator_covers_the_path1_cases(self):
+        """The seeds must produce every case the estimator branches on
+        (guards against a silently tamed generator)."""
+        seen = dict.fromkeys(
+            (
+                "self_loop_counted",
+                "query_self_loop",
+                "both_directions",
+                "untyped",
+                "unconstrained_endpoint",
+                "interval_only_vertex",
+                "edge_predicate",
+                "zero",
+                "nonzero",
+            ),
+            0,
+        )
+        for seed in PATH1_SEEDS:
+            rng = random.Random(20_000 + seed)
+            graph = random_differential_graph(rng)
+            self_loops = [r for r in graph.edges() if r.source == r.target]
+            for _ in range(3):
+                query = path1_query(rng)
+                for eid in query.edge_ids:
+                    qedge = query.edge(eid)
+                    ends = (query.vertex(qedge.source), query.vertex(qedge.target))
+                    count = path1_by_definition(graph, query, eid)
+                    seen["self_loop_counted"] += bool(
+                        path1_by_definition(graph, query, eid, self_loops)
+                    )
+                    seen["query_self_loop"] += qedge.source == qedge.target
+                    seen["both_directions"] += len(qedge.directions) == 2
+                    seen["untyped"] += qedge.types is None
+                    seen["unconstrained_endpoint"] += any(
+                        not v.predicates for v in ends
+                    )
+                    seen["interval_only_vertex"] += any(
+                        set(v.predicates) == {"x"} for v in ends
+                    )
+                    seen["edge_predicate"] += bool(qedge.predicates)
+                    seen["zero" if count == 0 else "nonzero"] += 1
+        assert all(seen.values()), seen
 
 
 class TestDifferentialOracle:

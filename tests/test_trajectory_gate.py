@@ -68,6 +68,12 @@ def baseline_payload() -> dict:
             "unmutated": {"warm_hit_rate": 1.0, "counts_identical": True},
             "mutated": {"warm_hit_rate": 0.96875, "counts_identical": True},
         },
+        "path1_estimator": {
+            "estimates": 812,
+            "path1_misses": 311,
+            "counts_identical": 1.0,
+            "speedup": 2.8,
+        },
     }
 
 
@@ -286,6 +292,44 @@ class TestCompiledMatchGate:
         fresh["compiled_match"]["rewrite_batch"]["speedup"] = 1.0
         gate = check_trajectory(baseline, fresh)
         assert any("rewrite-batch" in f for f in gate.failures)
+
+
+class TestPath1EstimatorGate:
+    def test_regression_fails_even_on_single_core(self):
+        """Pure single-core CPU ratio: never skipped."""
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        fresh["process_pool"]["cpu_cores"] = 1
+        fresh["path1_estimator"]["speedup"] = 1.9  # below 2.8 * 0.75
+        gate = check_trajectory(baseline, fresh)
+        assert any("path(1) estimator speedup" in f for f in gate.failures)
+        fresh["path1_estimator"]["speedup"] = 2.2
+        assert check_trajectory(baseline, fresh).failures == []
+
+    def test_low_baseline_cannot_water_down_the_2x_target(self):
+        baseline = baseline_payload()
+        baseline["path1_estimator"]["speedup"] = 0.99
+        fresh = copy.deepcopy(baseline)
+        fresh["path1_estimator"]["speedup"] = 1.2  # below 2.0 * 0.75
+        gate = check_trajectory(baseline, fresh)
+        assert any("path(1) estimator speedup" in f for f in gate.failures)
+        fresh["path1_estimator"]["speedup"] = 2.1
+        assert check_trajectory(baseline, fresh).failures == []
+
+    def test_count_divergence_fails_exactly(self):
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        fresh["path1_estimator"]["counts_identical"] = 0.0
+        gate = check_trajectory(baseline, fresh)
+        assert any("path(1) estimator DIVERGED" in f for f in gate.failures)
+
+    def test_section_missing_from_a_stale_baseline_is_drift(self):
+        fresh = baseline_payload()
+        baseline = copy.deepcopy(fresh)
+        del baseline["path1_estimator"]
+        gate = check_trajectory(baseline, fresh)
+        assert len(gate.failures) == 1
+        assert "'path1_estimator'" in gate.failures[0]
 
 
 class TestObservabilityGate:
