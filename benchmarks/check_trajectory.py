@@ -63,6 +63,12 @@ fails (exit code 1) when the trajectory regressed:
   and the 2x acceptance target (single-core pure CPU, *not*
   core-aware), and ``counts_identical`` must be exactly 1.0 (every
   path(1) count and every estimate equal to the by-definition ones);
+* **interpreter search core** (``interpreter_core``): the plan-lowered
+  visitor's speedup over the previous generator walk on the replayed
+  why-empty counts must clear the stronger of the committed baseline
+  and the 1.5x acceptance target (single-core pure CPU, *not*
+  core-aware), and ``counts_identical``/``steps_identical`` must be
+  exactly 1.0 (same counts, same candidates visited);
 * **protocol server** (``server_protocol``): ``streamed_identical``
   must be exactly 1.0 (the streamed explain's final report equals the
   plain remote explain bit-identically), and per open-loop concurrency
@@ -391,6 +397,23 @@ def check_trajectory(
             "(counts_identical is false) -- a candidate-set probe "
             "returned a wrong path(1) cardinality"
         )
+    # interpreter search core: a single-core pure-CPU ratio like the
+    # path(1) one, never skipped; count and steps identity are exact
+    gate.check_not_below(
+        "interpreter core speedup",
+        max(dig(baseline, "interpreter_core.speedup"), 1.5),
+        dig(fresh, "interpreter_core.speedup"),
+        max_regression,
+    )
+    for what in ("counts", "steps"):
+        if dig(fresh, f"interpreter_core.{what}_identical") == 1.0:
+            gate.ok(f"interpreter core {what} identical to the generator walk")
+        else:
+            gate.fail(
+                f"interpreter core DIVERGED from the generator walk "
+                f"({what}_identical is false) -- the plan-lowered visitor "
+                f"{'counted' if what == 'counts' else 'visited'} differently"
+            )
     if dig(fresh, "server_protocol.streamed_identical") == 1.0:
         gate.ok("server-protocol streamed result identical to plain explain")
     else:

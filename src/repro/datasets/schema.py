@@ -11,6 +11,7 @@ the value pools and small sampling helpers both generators share.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -107,25 +108,14 @@ ORG_SECTORS: Sequence[str] = (
 def zipf_index(rng: random.Random, n: int, exponent: float = 1.0) -> int:
     """Sample an index in ``[0, n)`` with Zipfian (rank-skewed) popularity.
 
-    Rank 0 is the most popular.  A small rejection-free inversion over the
-    truncated harmonic weights; deterministic given ``rng``.
+    Rank 0 is the most popular.  Inverts the truncated zeta CDF (the
+    cached cumulative weights) at one uniform draw by bisection: exact,
+    rejection-free, deterministic given ``rng``.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    # Precomputing the CDF per call would be wasteful; use the classic
-    # two-stage approximation: draw u and invert the truncated zeta CDF
-    # numerically on demand.  n is small (tens..thousands), so a linear
-    # scan over cached weights is fine and exact.
     weights = _zipf_weights(n, exponent)
-    u = rng.random() * weights[-1]
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if weights[mid] < u:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect_left(weights, rng.random() * weights[-1])
 
 
 _ZIPF_CACHE: dict = {}

@@ -16,7 +16,10 @@ isomorphism with:
 
 The matcher also counts how many match calls it has served (``calls``) and
 how many backtracking steps were taken (``steps``); all evaluation-budget
-experiments report these counters.  Expansion walks the graph's
+experiments report these counters.  Each call lowers its plan once into
+flat per-step tuples and backtracks over them with one recursive
+visitor: ``count``/``exists`` only bump a counter per match, ``match``
+builds the result graphs.  Expansion walks the graph's
 type-partitioned adjacency, so a query edge with a type set only ever
 visits data edges of those types; :meth:`PatternMatcher.cache_info`
 reports the shared plan/candidate cache counters next to them.
@@ -25,23 +28,18 @@ reports the shared plan/candidate cache counters next to them.
 from __future__ import annotations
 
 import os
-from typing import AbstractSet, Any, Dict, Iterator, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.graph import PropertyGraph
-from repro.core.query import Direction, GraphQuery, QueryEdge
+from repro.core.query import Direction, GraphQuery
 from repro.core.result import ResultGraph, ResultSet
-from repro.matching.candidates import (
-    attributes_match,
-    edge_matches,
-    vertex_matches,
-)
+from repro.matching.candidates import vertex_matches
 from repro.matching.csr import csr_stats
 from repro.matching.evalcache import (
     EvaluationCache,
     shared_evaluation_cache,
 )
 from repro.matching.plan import (
-    ExpandStep,
     PlanStep,
     SeedStep,
     build_plan,
@@ -65,6 +63,16 @@ def _compiled_default() -> bool:
     """Opt-in default for the compiled backend (the CI matrix leg sets
     ``REPRO_COMPILED_MATCH=1`` to run the whole suite through it)."""
     return os.environ.get("REPRO_COMPILED_MATCH", "0") not in ("", "0")
+
+
+def _lower_predicates(predicates: Dict[str, Any]) -> Optional[tuple]:
+    """A predicate map as ``((attr, pred.matches), ...)``, ``None`` when
+    empty: the visitor tests it inline with the semantics of
+    :func:`~repro.matching.candidates.attributes_match` (an absent
+    attribute fails)."""
+    if not predicates:
+        return None
+    return tuple((attr, pred.matches) for attr, pred in predicates.items())
 
 
 class PatternMatcher:
@@ -181,10 +189,13 @@ class PatternMatcher:
                 for binding in emitted:
                     results.add(binding)
             else:
-                for binding in self._search(query, edge_order, seed_restrict):
-                    results.add(binding)
-                    if limit is not None and results.cardinality >= limit:
-                        break
+                add = results.add
+
+                def emit(vbind: Dict[int, int], ebind: Dict[int, int]) -> bool:
+                    add(ResultGraph.from_mappings(vbind, ebind))
+                    return limit is not None and results.cardinality >= limit
+
+                self._visit(query, edge_order, seed_restrict, None, emit)
             if tracer.enabled:
                 span.attributes["steps"] = self.steps - before
                 span.attributes["compiled"] = program is not None
@@ -199,27 +210,11 @@ class PatternMatcher:
     ) -> int:
         """Count matches, stopping early once ``limit`` is reached.
 
-        Result cardinality (Definition 2) when ``limit`` is ``None``.
+        Result cardinality (Definition 2) when ``limit`` is ``None``; a
+        ``limit <= 0`` counts nothing and returns 0, like :meth:`match`.
         ``seed_restrict`` confines the first seed step (see :meth:`match`).
         """
-        self.calls += 1
-        tracer = current_tracer()
-        with tracer.span(SPAN_MATCH, op="count") as span:
-            before = self.steps
-            program = self._compiled_program(query, edge_order)
-            if program is not None:
-                n, steps = program.run_count(self.graph, limit, seed_restrict)
-                self.steps += steps
-            else:
-                n = 0
-                for _ in self._search(query, edge_order, seed_restrict):
-                    n += 1
-                    if limit is not None and n >= limit:
-                        break
-            if tracer.enabled:
-                span.attributes["steps"] = self.steps - before
-                span.attributes["compiled"] = program is not None
-            return n
+        return self._count("count", query, limit, edge_order, seed_restrict)
 
     def exists(
         self,
@@ -228,226 +223,256 @@ class PatternMatcher:
         seed_restrict: Optional[AbstractSet[int]] = None,
     ) -> bool:
         """``True`` when the pattern has at least one match."""
+        return self._count("exists", query, 1, edge_order, seed_restrict) > 0
+
+    def _count(
+        self,
+        op: str,
+        query: GraphQuery,
+        limit: Optional[int],
+        edge_order: Optional[Sequence[int]],
+        seed_restrict: Optional[AbstractSet[int]],
+    ) -> int:
+        """The bounded count behind ``count`` and ``exists`` (``op``
+        names the call in its ``SPAN_MATCH`` span)."""
         self.calls += 1
         tracer = current_tracer()
-        with tracer.span(SPAN_MATCH, op="exists"):
+        with tracer.span(SPAN_MATCH, op=op) as span:
+            if limit is not None and limit <= 0:
+                return 0
+            before = self.steps
             program = self._compiled_program(query, edge_order)
             if program is not None:
-                n, steps = program.run_count(self.graph, 1, seed_restrict)
+                n, steps = program.run_count(self.graph, limit, seed_restrict)
                 self.steps += steps
-                return n > 0
-            for _ in self._search(query, edge_order, seed_restrict):
-                return True
-            return False
+            else:
+                n = self._visit(query, edge_order, seed_restrict, limit, None)
+            if tracer.enabled:
+                span.attributes["steps"] = self.steps - before
+                span.attributes["compiled"] = program is not None
+            return n
 
     # -- search core -----------------------------------------------------------
 
-    def _search(
+    def _lower(self, query: GraphQuery, plan: List[PlanStep]) -> List[tuple]:
+        """One flat tuple per plan step, so the visitor's candidate loop
+        reads locals instead of re-deriving directions and type lists.
+
+        * seed: ``(True, qvid, query vertex)``;
+        * expand: ``(False, anchor qvid, walks, edge predicates | None,
+          new qvid | None, new vertex's predicates | None, closing-edge
+          endpoint qvid, qeid)``.  ``walks`` lists the adjacency lists
+          to visit in order as ``(accessor, type | None, incoming,
+          skip self-loops)``: with the anchor bound to the query edge's
+          *source*, FORWARD walks its outgoing edges and BACKWARD its
+          incoming ones (roles swap at the *target*); a typed edge walks
+          only the type-partitioned lists of its types, sorted so the
+          order does not follow ``PYTHONHASHSEED`` (``steps`` counters
+          are reproducible records).  An incoming walk after an
+          outgoing one skips self-loops, which the out walk already
+          visited.
+        """
+        graph = self.graph
+        lowered: List[tuple] = []
+        for step in plan:
+            if isinstance(step, SeedStep):
+                lowered.append((True, step.vid, query.vertex(step.vid)))
+                continue
+            qedge = query.edge(step.eid)
+            directions = qedge.directions
+            anchor_is_source = step.anchor == qedge.source
+            want_out = (anchor_is_source and Direction.FORWARD in directions) or (
+                not anchor_is_source and Direction.BACKWARD in directions
+            )
+            want_in = (anchor_is_source and Direction.BACKWARD in directions) or (
+                not anchor_is_source and Direction.FORWARD in directions
+            )
+            types = (None,) if qedge.types is None else tuple(sorted(qedge.types))
+            walks: List[tuple] = []
+            if want_out:
+                out = graph.out_edges if qedge.types is None else graph.out_edges_of_type
+                walks.extend((out, t, False, False) for t in types)
+            if want_in:
+                in_ = graph.in_edges if qedge.types is None else graph.in_edges_of_type
+                walks.extend((in_, t, True, want_out) for t in types)
+            new_preds = None
+            if step.new_vid is not None:
+                new_preds = _lower_predicates(query.vertex(step.new_vid).predicates)
+            lowered.append(
+                (
+                    False,
+                    step.anchor,
+                    tuple(walks),
+                    _lower_predicates(qedge.predicates),
+                    step.new_vid,
+                    new_preds,
+                    qedge.other_end(step.anchor),
+                    step.eid,
+                )
+            )
+        return lowered
+
+    def _visit(
         self,
         query: GraphQuery,
-        edge_order: Optional[Sequence[int]] = None,
-        seed_restrict: Optional[AbstractSet[int]] = None,
-    ) -> Iterator[ResultGraph]:
+        edge_order: Optional[Sequence[int]],
+        seed_restrict: Optional[AbstractSet[int]],
+        limit: Optional[int],
+        emit: Optional[Callable[[Dict[int, int], Dict[int, int]], bool]],
+    ) -> int:
+        """Backtrack over the lowered plan; returns the matches counted.
+
+        With ``emit`` ``None`` every complete binding bumps the count and
+        the search stops once it reaches ``limit`` (a positive int or
+        ``None``); otherwise ``emit(vbind, ebind)`` receives each
+        complete binding and stops the search by returning ``True``.
+        Adjacency lists are fetched one walk at a time, only when the
+        search reaches them, so a partial graph raises ``ShardMiss``
+        exactly where the walk needs data it does not hold.
+        """
         query.validate()
         if query.num_vertices == 0:
-            return
+            return 0
         with current_tracer().span(SPAN_PLAN):
             plan = build_plan(self.graph, query, edge_order)
+        lowered = self._lower(query, plan)
+        last = len(lowered)
+        graph = self.graph
+        edge = graph.edge
+        vertex_attributes = graph.vertex_attributes
+        vertex_candidates = self.evalcache.vertex_candidates
+        injective = self.injective
         vbind: Dict[int, int] = {}
         ebind: Dict[int, int] = {}
         used_vertices: Set[int] = set()
         used_edges: Set[int] = set()
-        yield from self._step(
-            query, plan, 0, vbind, ebind, used_vertices, used_edges, seed_restrict
-        )
+        steps = found = 0
 
-    def _step(
-        self,
-        query: GraphQuery,
-        plan: List[PlanStep],
-        depth: int,
-        vbind: Dict[int, int],
-        ebind: Dict[int, int],
-        used_vertices: Set[int],
-        used_edges: Set[int],
-        seed_restrict: Optional[AbstractSet[int]] = None,
-    ) -> Iterator[ResultGraph]:
-        if depth == len(plan):
-            yield ResultGraph.from_mappings(vbind, ebind)
-            return
-        step = plan[depth]
-        if isinstance(step, SeedStep):
-            # only the plan's *first* seed is partition-restricted: later
-            # seeds (disconnected components) must stay exhaustive or the
-            # per-shard union would drop cross-shard combinations
-            yield from self._seed(
-                query,
-                plan,
-                depth,
-                step,
-                vbind,
-                ebind,
-                used_vertices,
-                used_edges,
-                seed_restrict if depth == 0 else None,
-            )
-        else:
-            yield from self._expand(
-                query, plan, depth, step, vbind, ebind, used_vertices, used_edges
-            )
+        def visit(depth: int) -> bool:
+            nonlocal steps, found
+            if depth == last:
+                return emit(vbind, ebind)
+            step = lowered[depth]
+            # a counted match needs no bindings: the last step counts its
+            # surviving candidates in place (so only ``match`` ever
+            # reaches ``depth == last``)
+            count_leaf = emit is None and depth + 1 == last
+            if step[0]:
+                _, qvid, qvertex = step
+                candidates = vertex_candidates(qvertex)
+                # only the plan's *first* seed is partition-restricted:
+                # later seeds (disconnected components) must stay
+                # exhaustive or the per-shard union would drop
+                # cross-shard combinations
+                restrict = seed_restrict if depth == 0 else None
+                if candidates is not None:
+                    # pre-intersect so the walk never visits foreign shards
+                    pool = candidates if restrict is None else candidates & restrict
+                elif restrict is not None:
+                    # unconstrained vertex: the restriction *is* the pool
+                    pool = restrict
+                else:
+                    pool = graph.vertices()
+                for data_vid in pool:
+                    steps += 1
+                    if injective and data_vid in used_vertices:
+                        continue
+                    # candidates are pre-filtered; other pools are not
+                    if candidates is None and not vertex_matches(
+                        graph, data_vid, qvertex
+                    ):
+                        continue
+                    if count_leaf:
+                        found += 1
+                        if found == limit:
+                            return True
+                        continue
+                    vbind[qvid] = data_vid
+                    used_vertices.add(data_vid)
+                    if visit(depth + 1):
+                        return True
+                    used_vertices.discard(data_vid)
+                    del vbind[qvid]
+                return False
 
-    def _seed(
-        self,
-        query: GraphQuery,
-        plan: List[PlanStep],
-        depth: int,
-        step: SeedStep,
-        vbind: Dict[int, int],
-        ebind: Dict[int, int],
-        used_vertices: Set[int],
-        used_edges: Set[int],
-        seed_restrict: Optional[AbstractSet[int]] = None,
-    ) -> Iterator[ResultGraph]:
-        qvertex = query.vertex(step.vid)
-        candidates = self.evalcache.vertex_candidates(qvertex)
-        if seed_restrict is not None and candidates is not None:
-            # pre-intersect so the walk below never visits foreign shards
-            candidates = candidates & seed_restrict
-            pool = candidates
-        elif candidates is not None:
-            pool = candidates
-        elif seed_restrict is not None:
-            # unconstrained vertex: the restriction *is* the pool
-            pool = seed_restrict
-        else:
-            pool = self.graph.vertices()
-        for data_vid in pool:
-            self.steps += 1
-            if self.injective and data_vid in used_vertices:
-                continue
-            # candidates are pre-filtered; restricted/full-scan pools are not
-            if candidates is None and not vertex_matches(
-                self.graph, data_vid, qvertex
-            ):
-                continue
-            vbind[step.vid] = data_vid
-            used_vertices.add(data_vid)
-            yield from self._step(
-                query, plan, depth + 1, vbind, ebind, used_vertices, used_edges
-            )
-            used_vertices.discard(data_vid)
-            del vbind[step.vid]
-
-    def _expand(
-        self,
-        query: GraphQuery,
-        plan: List[PlanStep],
-        depth: int,
-        step: ExpandStep,
-        vbind: Dict[int, int],
-        ebind: Dict[int, int],
-        used_vertices: Set[int],
-        used_edges: Set[int],
-    ) -> Iterator[ResultGraph]:
-        qedge = query.edge(step.eid)
-        anchor_data = vbind[step.anchor]
-        anchor_is_source = step.anchor == qedge.source
-        # the typed adjacency walk already filtered edge types, so only the
-        # edge predicates remain to be checked per candidate
-        type_prefiltered = qedge.types is not None
-
-        for data_eid, data_other in self._incident_candidates(
-            anchor_data, anchor_is_source, qedge
-        ):
-            self.steps += 1
-            if self.injective and data_eid in used_edges:
-                continue
-            record = self.graph.edge(data_eid)
-            if type_prefiltered:
-                if qedge.predicates and not attributes_match(
-                    record.attributes, qedge.predicates
-                ):
-                    continue
-            elif not edge_matches(record, qedge):
-                continue
-            if step.new_vid is None:
-                # Both endpoints bound: the edge must connect them.
-                other_qvid = qedge.other_end(step.anchor)
-                if vbind[other_qvid] != data_other:
-                    continue
-                ebind[step.eid] = data_eid
-                used_edges.add(data_eid)
-                yield from self._step(
-                    query, plan, depth + 1, vbind, ebind, used_vertices, used_edges
+            _, anchor, walks, edge_preds, new_vid, new_preds, other, qeid = step
+            anchor_data = vbind[anchor]
+            # a closing edge must end at the already-bound other endpoint
+            bound_other = vbind[other] if new_vid is None else None
+            for adjacency, etype, incoming, skip_self_loops in walks:
+                eids = (
+                    adjacency(anchor_data)
+                    if etype is None
+                    else adjacency(anchor_data, etype)
                 )
-                used_edges.discard(data_eid)
-                del ebind[step.eid]
-            else:
-                if self.injective and data_other in used_vertices:
-                    continue
-                if not vertex_matches(
-                    self.graph, data_other, query.vertex(step.new_vid)
-                ):
-                    continue
-                vbind[step.new_vid] = data_other
-                ebind[step.eid] = data_eid
-                used_vertices.add(data_other)
-                used_edges.add(data_eid)
-                yield from self._step(
-                    query, plan, depth + 1, vbind, ebind, used_vertices, used_edges
-                )
-                used_edges.discard(data_eid)
-                used_vertices.discard(data_other)
-                del ebind[step.eid]
-                del vbind[step.new_vid]
+                for data_eid in eids:
+                    record = edge(data_eid)
+                    if incoming:
+                        data_other = record.source
+                        if skip_self_loops and data_other == record.target:
+                            continue
+                    else:
+                        data_other = record.target
+                    steps += 1
+                    if injective and data_eid in used_edges:
+                        continue
+                    if edge_preds is not None:
+                        # the typed walk already filtered edge types, so
+                        # only the edge predicates remain; ``attrs`` ends
+                        # ``None`` when every predicate held
+                        attrs = record.attributes
+                        for attr, matches in edge_preds:
+                            if attr not in attrs or not matches(attrs[attr]):
+                                break
+                        else:
+                            attrs = None
+                        if attrs is not None:
+                            continue
+                    if new_vid is None:
+                        if data_other != bound_other:
+                            continue
+                        if count_leaf:
+                            found += 1
+                            if found == limit:
+                                return True
+                            continue
+                        ebind[qeid] = data_eid
+                        used_edges.add(data_eid)
+                        if visit(depth + 1):
+                            return True
+                        used_edges.discard(data_eid)
+                        del ebind[qeid]
+                        continue
+                    if injective and data_other in used_vertices:
+                        continue
+                    if new_preds is not None:
+                        attrs = vertex_attributes(data_other)
+                        for attr, matches in new_preds:
+                            if attr not in attrs or not matches(attrs[attr]):
+                                break
+                        else:
+                            attrs = None
+                        if attrs is not None:
+                            continue
+                    if count_leaf:
+                        found += 1
+                        if found == limit:
+                            return True
+                        continue
+                    vbind[new_vid] = data_other
+                    ebind[qeid] = data_eid
+                    used_vertices.add(data_other)
+                    used_edges.add(data_eid)
+                    if visit(depth + 1):
+                        return True
+                    used_edges.discard(data_eid)
+                    used_vertices.discard(data_other)
+                    del ebind[qeid]
+                    del vbind[new_vid]
+            return False
 
-    def _incident_candidates(
-        self,
-        anchor_data: int,
-        anchor_is_source: bool,
-        qedge: QueryEdge,
-    ) -> Iterator[tuple]:
-        """Yield ``(data_eid, opposite_data_vid)`` pairs honouring directions.
-
-        With the anchor bound to the query edge's *source*, a FORWARD
-        direction walks the anchor's outgoing data edges and a BACKWARD
-        direction its incoming ones; anchored at the *target* the roles
-        swap.  When the query edge carries a type set, only the anchor's
-        type-partitioned adjacency lists for those types are walked, so
-        edges of other types are never visited (and never counted as
-        ``steps``).
-        """
-        directions = qedge.directions
-        want_out = (anchor_is_source and Direction.FORWARD in directions) or (
-            not anchor_is_source and Direction.BACKWARD in directions
-        )
-        want_in = (anchor_is_source and Direction.BACKWARD in directions) or (
-            not anchor_is_source and Direction.FORWARD in directions
-        )
-        graph = self.graph
-        edge = graph.edge
-        # sorted for deterministic enumeration order (frozenset iteration
-        # varies with PYTHONHASHSEED; steps counters are reproducible records)
-        types = sorted(qedge.types) if qedge.types is not None else None
-        if want_out:
-            if types is None:
-                for eid in graph.out_edges(anchor_data):
-                    yield eid, edge(eid).target
-            else:
-                for t in types:
-                    for eid in graph.out_edges_of_type(anchor_data, t):
-                        yield eid, edge(eid).target
-        if want_in:
-            if types is None:
-                for eid in graph.in_edges(anchor_data):
-                    record = edge(eid)
-                    if want_out and record.source == record.target:
-                        continue  # self-loop already yielded via the out walk
-                    yield eid, record.source
-            else:
-                for t in types:
-                    for eid in graph.in_edges_of_type(anchor_data, t):
-                        record = edge(eid)
-                        if want_out and record.source == record.target:
-                            continue  # self-loop already yielded via the out walk
-                        yield eid, record.source
+        try:
+            visit(0)
+        finally:
+            self.steps += steps
+        return found

@@ -371,16 +371,15 @@ class MatchProgram:
         limit: Optional[int] = None,
         seed_restrict: Optional[AbstractSet[int]] = None,
     ) -> Tuple[int, int]:
-        """Bounded match count: ``(count, steps)``."""
+        """Bounded match count: ``(count, steps)``; ``limit <= 0`` counts
+        nothing, like :meth:`run_match`."""
+        if limit is not None and limit <= 0:
+            return 0, 0
         fn = self._count_fn
         if fn is None:
             fn = self._count_fn = self._compile("count")
-        if limit is None:
-            prog_limit = 0  # nmatch starts at 1 on first emit: never equal
-        elif limit <= 0:
-            prog_limit = 1  # the interpreter's count() stops after one match
-        else:
-            prog_limit = limit
+        # nmatch starts at 1 on first emit: limit 0 never triggers
+        prog_limit = 0 if limit is None else limit
         used_v, used_e = self._scratch()
         adjmiss = graph._cell if self.partial else None
         return fn(self._pool_for(seed_restrict), prog_limit, used_v, used_e, None, adjmiss)

@@ -131,7 +131,8 @@ class QueryResultCache:
                         # least-recently-used entry, not the oldest-inserted
                         self._entries[key] = self._entries.pop(key)
                     if limit is not None and cached_count > limit:
-                        return limit
+                        # a non-positive limit counts nothing, as in the matcher
+                        return max(limit, 0)
                     return cached_count
             self.stats.misses += 1
         count = self.matcher.count(query, limit=limit)

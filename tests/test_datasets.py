@@ -4,6 +4,7 @@ import pytest
 
 from repro.datasets import dbpedia, ldbc
 from repro.matching import PatternMatcher
+from repro.persist.snapshot import graph_fingerprint
 
 
 class TestLdbcGenerator:
@@ -153,3 +154,30 @@ class TestDbpediaGenerator:
         bundle = dbpedia.generate()
         matcher = PatternMatcher(bundle.graph)
         assert matcher.count(dbpedia.query_2(), limit=1) > 0
+
+
+class TestGeneratedContentPinned:
+    """The default ``generate()`` graphs are the inputs of every recorded
+    figure and benchmark: their content must not drift when a generator
+    helper (e.g. the Zipf sampler) is rewritten."""
+
+    @pytest.mark.parametrize(
+        "module, vertices, edges, sha256",
+        [
+            (
+                ldbc,
+                1230,
+                5955,
+                "8afa442e1f7fffdc34a08317054e2a7b0efa21fb7184b9d017ca9b12b1a154c1",
+            ),
+            (
+                dbpedia,
+                830,
+                1871,
+                "2850a51e554ab384c7765ad0d6d23ab4bb87cadbd08a3a1da53e227c3be68c43",
+            ),
+        ],
+    )
+    def test_default_graph_fingerprint(self, module, vertices, edges, sha256):
+        fingerprint = graph_fingerprint(module.generate().graph)
+        assert fingerprint == {"vertices": vertices, "edges": edges, "sha256": sha256}

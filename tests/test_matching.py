@@ -1,6 +1,8 @@
 """Tests for the backtracking pattern matcher (isomorphism semantics,
 direction sets, bounded evaluation, disconnected queries)."""
 
+import pytest
+
 from repro.core import (
     BACKWARD_ONLY,
     BOTH_DIRECTIONS,
@@ -9,6 +11,7 @@ from repro.core import (
     equals,
 )
 from repro.matching import PatternMatcher
+from repro.rewrite.cache import QueryResultCache
 
 
 class TestBasicMatching:
@@ -155,6 +158,28 @@ class TestBoundedEvaluation:
         q = GraphQuery()
         q.add_vertex(predicates={"type": equals("person")})
         assert tiny_matcher.match(q, limit=0).cardinality == 0
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_nonpositive_limit_counts_nothing(self, compiled, limit):
+        """``count(limit<=0)`` agrees with ``match(limit<=0)``: no match
+        and no search effort, on both backends and through the result
+        cache whether the entry is cold or was cached unbounded."""
+        g = PropertyGraph()
+        g.add_edge(g.add_vertex(type="a"), g.add_vertex(type="b"), "r")
+        q = GraphQuery()
+        q.add_edge(q.add_vertex(), q.add_vertex(), types={"r"})
+        matcher = PatternMatcher(g, compiled=compiled)
+        assert matcher.match(q, limit=limit).cardinality == 0
+        assert matcher.count(q, limit=limit) == 0
+        assert matcher.steps == 0
+        assert matcher.count(q) == 1
+        cold = QueryResultCache(PatternMatcher(g, compiled=compiled))
+        assert cold.count(q, limit=limit) == 0
+        warm = QueryResultCache(PatternMatcher(g, compiled=compiled))
+        assert warm.count(q) == 1
+        assert warm.count(q, limit=limit) == 0
+        assert warm.stats.hits == 1
 
     def test_counters_advance(self, tiny_graph):
         matcher = PatternMatcher(tiny_graph)

@@ -9,6 +9,7 @@ everywhere -- and the path(1) statistics oracle (exact counts against
 the by-definition count, also across mutations).  Seeds are fixed
 in-code so every failure reproduces."""
 
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from repro.core import (
 )
 from repro.core.predicates import predicate_distance
 from repro.matching import PatternMatcher, csr_stats, shared_evaluation_cache
+from repro.matching.plan import ExpandStep, build_plan
 from repro.metrics.assignment import assignment_cost
 from repro.metrics.cardinality import CardinalityThreshold, cardinality_distance
 from repro.metrics.ged import coarse_ged
@@ -775,6 +777,153 @@ class TestPath1Oracle:
                     )
                     seen["edge_predicate"] += bool(qedge.predicates)
                     seen["zero" if count == 0 else "nonzero"] += 1
+        assert all(seen.values()), seen
+
+
+MATCH_ORACLE_SEEDS = range(60)
+MATCH_ORACLE_LIMITS = (0, 1, 2, None)
+
+
+def matches_by_definition(graph, query, injective, seed_restrict=None):
+    """Every match of ``query``, enumerated from the definition: each
+    assignment of data vertices to the query vertices and of data edges
+    to the query edges whose predicates hold, whose type is admitted and
+    whose endpoints are the assigned vertices in an admitted direction;
+    under isomorphism both assignments must be injective.
+    ``seed_restrict`` keeps the matches binding the plan's first seed
+    vertex inside it.  Returns ``match_key``-shaped sorted bindings."""
+
+    def satisfies(attributes, predicates) -> bool:
+        return all(
+            attr in attributes and pred.matches(attributes[attr])
+            for attr, pred in predicates.items()
+        )
+
+    qvids = sorted(query.vertex_ids)
+    qeids = sorted(query.edge_ids)
+    pools = [
+        [
+            vid
+            for vid in graph.vertices()
+            if satisfies(graph.vertex_attributes(vid), query.vertex(qvid).predicates)
+        ]
+        for qvid in qvids
+    ]
+    if seed_restrict is not None:
+        first = qvids.index(build_plan(graph, query)[0].vid)
+        pools[first] = [vid for vid in pools[first] if vid in seed_restrict]
+    records = list(graph.edges())
+    found = set()
+    for vertices in itertools.product(*pools):
+        if injective and len(set(vertices)) < len(vertices):
+            continue
+        vmap = dict(zip(qvids, vertices))
+        edge_pools = []
+        for qeid in qeids:
+            qedge = query.edge(qeid)
+            s, t = vmap[qedge.source], vmap[qedge.target]
+            edge_pools.append(
+                [
+                    r.eid
+                    for r in records
+                    if (qedge.types is None or r.type in qedge.types)
+                    and satisfies(r.attributes, qedge.predicates)
+                    and (
+                        (Direction.FORWARD in qedge.directions
+                         and (r.source, r.target) == (s, t))
+                        or (Direction.BACKWARD in qedge.directions
+                            and (r.source, r.target) == (t, s))
+                    )
+                ]
+            )
+        for edges in itertools.product(*edge_pools):
+            if injective and len(set(edges)) < len(edges):
+                continue
+            found.add((tuple(zip(qvids, vertices)), tuple(zip(qeids, edges))))
+    return sorted(found)
+
+
+class TestMatchOracle:
+    """The matcher's ``count``/``match``/``exists`` against a by-definition
+    enumeration of every vertex and edge assignment, injective and
+    homomorphic, bounded and unbounded, with and without a seed
+    restriction -- an oracle independent of the search order (the
+    compiled kernels were written to mimic the interpreter, so agreeing
+    with them alone proves nothing about either)."""
+
+    @staticmethod
+    def case(seed):
+        """``(graph, query, seed restriction)`` of one seed."""
+        rng = random.Random(40_000 + seed)
+        graph = random_differential_graph(rng)
+        query = path1_query(rng)
+        vids = sorted(graph.vertices())
+        return graph, query, frozenset(rng.sample(vids, rng.randint(1, len(vids))))
+
+    @pytest.mark.parametrize("seed", MATCH_ORACLE_SEEDS)
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_matcher_equals_definition(self, seed, compiled):
+        graph, query, seed_restrict = self.case(seed)
+        for injective, restrict in itertools.product(
+            (True, False), (None, seed_restrict)
+        ):
+            expected = matches_by_definition(graph, query, injective, restrict)
+            context = (query.signature(), injective, restrict)
+            matcher = PatternMatcher(graph, injective=injective, compiled=compiled)
+            assert matcher.exists(query, seed_restrict=restrict) == bool(expected)
+            for limit in MATCH_ORACLE_LIMITS:
+                bound = len(expected) if limit is None else min(limit, len(expected))
+                count = matcher.count(query, limit=limit, seed_restrict=restrict)
+                assert count == bound, (context, limit)
+                found = match_key(
+                    matcher.match(query, limit=limit, seed_restrict=restrict)
+                )
+                assert len(found) == bound, (context, limit)
+                assert set(found) <= set(expected), (context, limit)
+
+    def test_cases_cover_the_matcher_branches(self):
+        """The seeds must reach every branch of the search core (guards
+        against a silently tamed generator)."""
+        seen = dict.fromkeys(
+            (
+                "both_directions",
+                "query_self_loop",
+                "data_self_loop_bound",
+                "closing_edge",
+                "untyped",
+                "edge_predicate",
+                "restrict_prunes",
+                "homomorphic_only",
+                "beyond_limit",
+                "zero",
+            ),
+            0,
+        )
+        for seed in MATCH_ORACLE_SEEDS:
+            graph, query, restrict = self.case(seed)
+            edges = [query.edge(eid) for eid in query.edge_ids]
+            plan = build_plan(graph, query)
+            iso = matches_by_definition(graph, query, True)
+            hom = matches_by_definition(graph, query, False)
+            self_loops = {r.eid for r in graph.edges() if r.source == r.target}
+            seen["both_directions"] += any(len(e.directions) == 2 for e in edges)
+            seen["query_self_loop"] += any(e.source == e.target for e in edges)
+            seen["data_self_loop_bound"] += any(
+                eid in self_loops for _, ebind in hom for _, eid in ebind
+            )
+            seen["closing_edge"] += any(
+                isinstance(step, ExpandStep) and step.new_vid is None for step in plan
+            )
+            seen["untyped"] += any(e.types is None for e in edges)
+            seen["edge_predicate"] += any(e.predicates for e in edges)
+            seen["restrict_prunes"] += len(
+                matches_by_definition(graph, query, True, restrict)
+            ) < len(iso)
+            seen["homomorphic_only"] += len(hom) > len(iso)
+            seen["beyond_limit"] += len(iso) > max(
+                limit for limit in MATCH_ORACLE_LIMITS if limit is not None
+            )
+            seen["zero"] += not iso
         assert all(seen.values()), seen
 
 

@@ -74,6 +74,13 @@ def baseline_payload() -> dict:
             "counts_identical": 1.0,
             "speedup": 2.8,
         },
+        "interpreter_core": {
+            "counts": 308,
+            "steps": 138682,
+            "counts_identical": 1.0,
+            "steps_identical": 1.0,
+            "speedup": 2.4,
+        },
     }
 
 
@@ -330,6 +337,46 @@ class TestPath1EstimatorGate:
         gate = check_trajectory(baseline, fresh)
         assert len(gate.failures) == 1
         assert "'path1_estimator'" in gate.failures[0]
+
+
+class TestInterpreterCoreGate:
+    def test_regression_fails_even_on_single_core(self):
+        """Pure single-core CPU ratio: never skipped."""
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        fresh["process_pool"]["cpu_cores"] = 1
+        fresh["interpreter_core"]["speedup"] = 1.7  # below 2.4 * 0.75
+        gate = check_trajectory(baseline, fresh)
+        assert any("interpreter core speedup" in f for f in gate.failures)
+        fresh["interpreter_core"]["speedup"] = 1.9
+        assert check_trajectory(baseline, fresh).failures == []
+
+    def test_low_baseline_cannot_water_down_the_target(self):
+        baseline = baseline_payload()
+        baseline["interpreter_core"]["speedup"] = 0.9
+        fresh = copy.deepcopy(baseline)
+        fresh["interpreter_core"]["speedup"] = 1.1  # below 1.5 * 0.75
+        gate = check_trajectory(baseline, fresh)
+        assert any("interpreter core speedup" in f for f in gate.failures)
+        fresh["interpreter_core"]["speedup"] = 1.2
+        assert check_trajectory(baseline, fresh).failures == []
+
+    @pytest.mark.parametrize("what", ["counts", "steps"])
+    def test_divergence_fails_exactly(self, what):
+        baseline = baseline_payload()
+        fresh = copy.deepcopy(baseline)
+        fresh["interpreter_core"][f"{what}_identical"] = 0.0
+        gate = check_trajectory(baseline, fresh)
+        assert len(gate.failures) == 1
+        assert f"{what}_identical is false" in gate.failures[0]
+
+    def test_section_missing_from_a_stale_baseline_is_drift(self):
+        fresh = baseline_payload()
+        baseline = copy.deepcopy(fresh)
+        del baseline["interpreter_core"]
+        gate = check_trajectory(baseline, fresh)
+        assert len(gate.failures) == 1
+        assert "'interpreter_core'" in gate.failures[0]
 
 
 class TestObservabilityGate:
