@@ -54,6 +54,7 @@ import json
 import os
 import pathlib
 import random
+import statistics
 import time
 
 from repro.core import Direction, GraphQuery, PropertyGraph, equals
@@ -177,6 +178,24 @@ def _best_of(fn, rounds: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _alternating_rounds(fns, rounds: int = 5) -> list:
+    """Per-round times of each thunk over ``rounds`` rounds that run them
+    in turn, so a burst of load on a shared machine lands on every side
+    instead of on whichever block happened to run during it."""
+    times = [[] for _ in fns]
+    for _ in range(rounds):
+        for fn, samples in zip(fns, times):
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    return times
+
+
+def _paired_ratio(numerators: list, denominators: list) -> float:
+    """Median of the per-round ratios of two alternated sides."""
+    return statistics.median(n / d for n, d in zip(numerators, denominators))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +643,7 @@ def _mutate_while_serving_section(
     }
 
 
-def _observability_section(batch_rounds: int = 5) -> dict:
+def _observability_section(batch_rounds: int = 15) -> dict:
     """Tracing overhead on the hot matching path (ISSUE 9).
 
     Two shapes, both single-core pure CPU, both with the interpreter
@@ -638,28 +657,29 @@ def _observability_section(batch_rounds: int = 5) -> dict:
       against very little search work).
 
     ``enabled_ratio`` is traced-over-untraced throughput on the batch
-    shape (the unfavourable one); the acceptance target -- asserted
-    here and gated in ``check_trajectory.py`` -- is >= 0.9, i.e.
-    tracing must stay cheap enough to leave on in production.
+    shape (the unfavourable one): the two sides alternate round by
+    round and the ratio is the median of the per-round ratios, so load
+    on a shared machine cancels instead of landing on one side.  The
+    acceptance target -- asserted here and gated in
+    ``check_trajectory.py`` -- is >= 0.9, i.e. tracing must stay cheap
+    enough to leave on in production.
     """
     graph, query, expected = _expansion_workload()
     matcher = PatternMatcher(graph)
     assert matcher.count(query) == expected  # warm-up
-    heavy_disabled_s = _best_of(lambda: matcher.count(query))
 
     def heavy_traced() -> None:
         tracer = Tracer()
         with tracer.activate():
             matcher.count(query)
 
-    heavy_enabled_s = _best_of(heavy_traced)
+    heavy_disabled, heavy_enabled = _alternating_rounds(
+        [lambda: matcher.count(query), heavy_traced]
+    )
 
     bgraph, variants, per_variant = _candidate_batch_workload()
     bmatcher = PatternMatcher(bgraph)
     assert [bmatcher.count(q) for q in variants] == [per_variant] * len(variants)
-    batch_disabled_s = _best_of(
-        lambda: [bmatcher.count(q) for q in variants], rounds=batch_rounds
-    )
 
     def batch_traced() -> None:
         for q in variants:
@@ -667,25 +687,22 @@ def _observability_section(batch_rounds: int = 5) -> dict:
             with tracer.activate():
                 bmatcher.count(q)
 
-    batch_enabled_s = _best_of(batch_traced, rounds=batch_rounds)
-
-    enabled_ratio = (
-        batch_disabled_s / batch_enabled_s if batch_enabled_s > 0 else float("inf")
+    batch_disabled, batch_enabled = _alternating_rounds(
+        [lambda: [bmatcher.count(q) for q in variants], batch_traced],
+        rounds=batch_rounds,
     )
     return {
         "heavy_count": {
-            "disabled_best_s": heavy_disabled_s,
-            "enabled_best_s": heavy_enabled_s,
-            "enabled_ratio": heavy_disabled_s / heavy_enabled_s
-            if heavy_enabled_s > 0
-            else float("inf"),
+            "disabled_best_s": min(heavy_disabled),
+            "enabled_best_s": min(heavy_enabled),
+            "enabled_ratio": _paired_ratio(heavy_disabled, heavy_enabled),
         },
         "rewrite_batch": {
             "variants": len(variants),
-            "disabled_best_s": batch_disabled_s,
-            "enabled_best_s": batch_enabled_s,
+            "disabled_best_s": min(batch_disabled),
+            "enabled_best_s": min(batch_enabled),
         },
-        "enabled_ratio": enabled_ratio,
+        "enabled_ratio": _paired_ratio(batch_disabled, batch_enabled),
     }
 
 
@@ -1244,15 +1261,11 @@ def test_micro_emit_machine_readable(ldbc_bundle):
         f"on {process_pool['cpu_cores']} core(s))"
     )
 
-    # acceptance: cold path(1) estimation answers from the shared
-    # candidate sets with exactly the by-definition counts (the speedup
-    # is a timing ratio, gated in check_trajectory.py)
-    assert path1_estimator["counts_identical"] == 1.0, path1_estimator
-    # acceptance: the plan-lowered interpreter core counts exactly what
-    # the generator walk counts, visiting exactly its candidates (the
-    # speedup is a timing ratio, gated in check_trajectory.py)
-    assert interpreter_core["counts_identical"] == 1.0, interpreter_core
-    assert interpreter_core["steps_identical"] == 1.0, interpreter_core
+    # acceptance: the compiled backend removes per-step interpretation
+    # overhead -- >=2x over the interpreter on the typed-expansion
+    # workload, single-core, pure CPU (measured ~10x on an idle box; the
+    # bound is looser so contended CI runners cannot flake the gate)
+    assert compiled_match["speedup"] >= 2.0, compiled_match["speedup"]
     assert compiled_match["program_cache"]["expansion"]["program_hits"] > 0
     assert (
         compiled_match["program_cache"]["rewrite_batch"]["programs_compiled"] > 0
@@ -1294,6 +1307,10 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     for level, metrics in server_protocol["open_loop"].items():
         assert metrics["ttfc_ratio"] < 1.0, (level, metrics["ttfc_ratio"])
         assert metrics["latency_p99_s"] >= metrics["latency_p50_s"], level
+    # acceptance (ISSUE 9): tracing must be cheap enough to leave on --
+    # enabled-over-disabled throughput >= 0.9 even on the span-heavy
+    # rewrite-batch shape (a fresh activated tracer per count)
+    assert observability["enabled_ratio"] >= 0.9, observability["enabled_ratio"]
     # acceptance (ISSUE 10): an unmutated restart prewarms the whole
     # result cache from the snapshot -- warm-hit rate >= 0.9 (measured
     # 1.0; the rate is a deterministic count, not wall-clock) with the
@@ -1307,14 +1324,12 @@ def test_micro_emit_machine_readable(ldbc_bundle):
     assert rw_unmutated["counts_identical"], rw_unmutated
     assert 0.0 < rw_mutated["warm_hit_rate"] < 1.0, rw_mutated["warm_hit_rate"]
     assert rw_mutated["counts_identical"], rw_mutated
-    # the two wall-clock ratio asserts come last, after every
-    # deterministic acceptance check above has run
-    # acceptance: the compiled backend removes per-step interpretation
-    # overhead -- >=2x over the interpreter on the typed-expansion
-    # workload, single-core, pure CPU (measured ~10x on an idle box; the
-    # bound is looser so contended CI runners cannot flake the gate)
-    assert compiled_match["speedup"] >= 2.0, compiled_match["speedup"]
-    # acceptance (ISSUE 9): tracing must be cheap enough to leave on --
-    # enabled-over-disabled throughput >= 0.9 even on the span-heavy
-    # rewrite-batch shape (a fresh activated tracer per count)
-    assert observability["enabled_ratio"] >= 0.9, observability["enabled_ratio"]
+    # acceptance: cold path(1) estimation answers from the shared
+    # candidate sets with exactly the by-definition counts (the speedup
+    # is a timing ratio, gated in check_trajectory.py)
+    assert path1_estimator["counts_identical"] == 1.0, path1_estimator
+    # acceptance: the plan-lowered interpreter core counts exactly what
+    # the generator walk counts, visiting exactly its candidates (the
+    # speedup is a timing ratio, gated in check_trajectory.py)
+    assert interpreter_core["counts_identical"] == 1.0, interpreter_core
+    assert interpreter_core["steps_identical"] == 1.0, interpreter_core

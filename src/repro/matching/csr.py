@@ -116,6 +116,7 @@ class CSRIndex:
         "_edge_masks",
         "_edge_mask_preds",
         "programs",
+        "plan_programs",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -173,6 +174,10 @@ class CSRIndex:
         #: (query signature, edge_order, injective) -> MatchProgram;
         #: lives exactly as long as the arrays it is specialised over
         self.programs: Dict[Hashable, Any] = {}
+        #: (id(plan), injective) -> MatchProgram: the resolution shortcut
+        #: for the plan object a program was last served for (the program
+        #: pins that plan, so its id cannot be reused while it lives)
+        self.plan_programs: Dict[Tuple[int, bool], Any] = {}
 
     def _graph(self) -> Any:
         graph = self._graph_ref()
@@ -385,6 +390,7 @@ class CSRIndex:
                 self._patch_edge_attr(graph, record[1], record[2])
         if revived_segment:
             self.programs.clear()
+            self.plan_programs.clear()
         else:
             for program in self.programs.values():
                 program._restrict_pools.clear()

@@ -81,6 +81,7 @@ class MatchProgram:
         "_restrict_pools",
         "_consts",
         "_body",
+        "_count_body",
         "_rg_expr",
         "_count_fn",
         "_match_fn",
@@ -95,8 +96,9 @@ class MatchProgram:
         evalcache: Optional[EvaluationCache] = None,
     ) -> None:
         self.csr = csr
-        #: the memoised plan this program lowers; the reference also pins
-        #: the plan object alive while the program cache keys on its id
+        #: the plan object this program was last resolved from; the
+        #: reference pins it alive while ``CSRIndex.plan_programs`` keys
+        #: the program by its id
         self.plan = plan
         self.injective = injective
         self.partial = csr.partial
@@ -129,13 +131,24 @@ class MatchProgram:
                 const_ids[id(value)] = name
             return name
 
-        body: List[str] = []
-        vvar: Dict[int, str] = {}
-        evar: Dict[int, str] = {}
         vid_name = const("vid", csr.vid_of)
         eid_name = const("eid", csr.eid_of)
         rg_name = const("RG", ResultGraph)
         self._base_pool = csr.seed_pool(query.vertex(plan[0].vid), evalcache)
+        last = len(plan) - 1
+
+        # the count kernel is lowered first, then the match kernel (whose
+        # bindings the ResultGraph expression names); ``gen`` reads the
+        # current ``count``/``body``/``vvar``/``evar`` through its closure
+        count = True
+        body: List[str] = []
+        vvar: Dict[int, str] = {}
+        evar: Dict[int, str] = {}
+
+        def count_one(pad: str, bulk: bool) -> None:
+            body.append(f"{pad}nmatch += 1")
+            if not bulk:
+                body.append(f"{pad}if nmatch == limit: return nmatch, steps")
 
         def gen(i: int, indent: int) -> None:
             pad = "    " * indent
@@ -143,6 +156,9 @@ class MatchProgram:
                 body.append(pad + "__EMIT__")
                 return
             step = plan[i]
+            # a counted match needs no bindings: the count kernel's
+            # last step counts its surviving candidates in place
+            leaf = count and i == last
             if isinstance(step, SeedStep):
                 v = f"v{len(vvar)}"
                 vvar[step.vid] = v
@@ -160,6 +176,9 @@ class MatchProgram:
                 body.append(f"{ipad}steps += 1")
                 if injective and i > 0:
                     body.append(f"{ipad}if used_v[{v}]: continue")
+                if leaf:
+                    count_one(ipad, False)
+                    return
                 if injective:
                     body.append(f"{ipad}used_v[{v}] = 1")
                 gen(i + 1, inner)
@@ -202,53 +221,110 @@ class MatchProgram:
                 return
             emask = csr.edge_mask(qedge)
             em = const("em", emask) if emask is not None else None
+            # no earlier step binds an edge: the scratch map is all
+            # zeros here, so the edge injectivity test cannot fail
+            check_used_e = injective and bool(evar)
             ev = f"e{len(evar)}"
             evar[step.eid] = ev
+            if step.new_vid is None:
+                w = vm = None
+                other_var = vvar[qedge.other_end(step.anchor)]
+            else:
+                w = f"v{len(vvar)}"
+                vvar[step.new_vid] = w
+                vmask = csr.vertex_mask(query.vertex(step.new_vid), evalcache)
+                vm = const("vm", vmask) if vmask is not None else None
             sl_needed = any(skip for _, skip in segments)
             sl = const("sl", csr.selfloop) if sl_needed else None
+            # the count leaf reads the edge index only to test it
+            need_e = not leaf or check_used_e or em is not None
             x = f"_x{i}"
 
-            def candidate(indent: int, e_expr: str, o_expr: str, skip: Optional[str]):
+            def candidate(
+                indent: int, e_expr: str, o_expr: str, skip: Optional[str]
+            ) -> None:
                 pad = "    " * indent
-                body.append(f"{pad}{ev} = {e_expr}")
+                if need_e or skip is not None:
+                    body.append(f"{pad}{ev} = {e_expr}")
                 if skip is not None:
                     body.append(f"{pad}if {skip}: continue")
                 body.append(f"{pad}steps += 1")
-                if injective:
+                checks(pad, o_expr, False)
+
+            def checks(pad: str, o_expr: Optional[str], bulk: bool) -> None:
+                """The candidate's filters, then the leaf count or the
+                bind-recurse-unbind of the next step."""
+                if check_used_e:
                     body.append(f"{pad}if used_e[{ev}]: continue")
                 if em is not None:
                     body.append(f"{pad}if not {em}[{ev}]: continue")
-                if step.new_vid is None:
-                    other_var = vvar[qedge.other_end(step.anchor)]
+                if w is None:
                     body.append(f"{pad}if {o_expr} != {other_var}: continue")
+                    if leaf:
+                        count_one(pad, bulk)
+                        return
                     if injective:
                         body.append(f"{pad}used_e[{ev}] = 1")
-                    gen(i + 1, indent)
+                    gen(i + 1, len(pad) // 4)
                     if injective:
                         body.append(f"{pad}used_e[{ev}] = 0")
-                else:
-                    w = f"v{len(vvar)}"
-                    vvar[step.new_vid] = w
+                    return
+                if o_expr is not None:
                     body.append(f"{pad}{w} = {o_expr}")
-                    if injective:
-                        body.append(f"{pad}if used_v[{w}]: continue")
-                    vmask = csr.vertex_mask(query.vertex(step.new_vid), evalcache)
-                    if vmask is not None:
-                        vm = const("vm", vmask)
-                        body.append(f"{pad}if not {vm}[{w}]: continue")
-                    if injective:
-                        body.append(f"{pad}used_v[{w}] = 1")
-                        body.append(f"{pad}used_e[{ev}] = 1")
-                    gen(i + 1, indent)
-                    if injective:
-                        body.append(f"{pad}used_e[{ev}] = 0")
-                        body.append(f"{pad}used_v[{w}] = 0")
+                if injective:
+                    body.append(f"{pad}if used_v[{w}]: continue")
+                if vm is not None:
+                    body.append(f"{pad}if not {vm}[{w}]: continue")
+                if leaf:
+                    count_one(pad, bulk)
+                    return
+                if injective:
+                    body.append(f"{pad}used_v[{w}] = 1")
+                    body.append(f"{pad}used_e[{ev}] = 1")
+                gen(i + 1, len(pad) // 4)
+                if injective:
+                    body.append(f"{pad}used_e[{ev}] = 0")
+                    body.append(f"{pad}used_v[{w}] = 0")
+
+            def leaf_rows(indent: int, ip: str, ea: str, oa: str, skip: str) -> None:
+                """A count leaf's row: candidate by candidate while the
+                limit may fall inside it (or self-loops are skipped),
+                otherwise no limit test and its steps added at once --
+                the same count and the same ``steps``."""
+                pad = "    " * indent
+                lo, hi = f"_lo{i}", f"_hi{i}"
+                body.append(f"{pad}{lo} = {ip}[{anchor_var}]")
+                body.append(f"{pad}{hi} = {ip}[{anchor_var} + 1]")
+                exact = f"limit and limit - nmatch <= {hi} - {lo}"
+                if skip:
+                    exact = f"{skip} or ({exact})"
+                body.append(f"{pad}if {exact}:")
+                body.append(f"{pad}    for {x} in range({lo}, {hi}):")
+                candidate(
+                    indent + 2,
+                    f"{ea}[{x}]",
+                    f"{oa}[{x}]",
+                    f"{skip} and {sl}[{ev}]" if skip else None,
+                )
+                body.append(f"{pad}else:")
+                body.append(f"{pad}    steps += {hi} - {lo}")
+                o = w if w is not None else f"_o{i}"
+                if need_e:
+                    body.append(
+                        f"{pad}    for {ev}, {o} in zip({ea}[{lo}:{hi}], {oa}[{lo}:{hi}]):"
+                    )
+                else:
+                    body.append(f"{pad}    for {o} in {oa}[{lo}:{hi}]:")
+                checks("    " * (indent + 2), None if w is not None else o, True)
 
             if len(segments) == 1:
                 (indptr, edge_ix, other_ix), skip_self = segments[0]
                 ip = const("ip", indptr)
                 ea = const("ea", edge_ix)
                 oa = const("oa", other_ix)
+                if leaf and not skip_self:
+                    leaf_rows(indent, ip, ea, oa, "")
+                    return
                 body.append(
                     f"{pad}for {x} in range({ip}[{anchor_var}], "
                     f"{ip}[{anchor_var} + 1]):"
@@ -269,6 +345,9 @@ class MatchProgram:
                 )
                 sp, se, so, sk = f"_sp{i}", f"_se{i}", f"_so{i}", f"_sk{i}"
                 body.append(f"{pad}for {sp}, {se}, {so}, {sk} in {packed}:")
+                if leaf:
+                    leaf_rows(indent + 1, sp, se, so, sk if sl_needed else "")
+                    return
                 mid = indent + 1
                 mpad = "    " * mid
                 body.append(
@@ -283,6 +362,11 @@ class MatchProgram:
                 )
 
         gen(0, 1)
+        self._count_body = body
+        count = False
+        body, vvar, evar = [], {}, {}
+        gen(0, 1)
+        self._body = body
         vparts = ", ".join(
             f"({qvid}, {vid_name}[{var}])" for qvid, var in sorted(vvar.items())
         )
@@ -293,13 +377,12 @@ class MatchProgram:
         etuple = f"({eparts},)" if eparts else "()"
         self._rg_expr = f"{rg_name}({vtuple}, {etuple})"
         self._consts = consts
-        self._body = body
 
     # -- kernel compilation -----------------------------------------------------
 
     def _compile(self, mode: str) -> Any:
         lines: List[str] = []
-        for line in self._body:
+        for line in self._count_body if mode == "count" else self._body:
             stripped = line.lstrip()
             if stripped == "__EMIT__":
                 pad = line[: len(line) - len(stripped)]
@@ -435,18 +518,31 @@ def compiled_program(
     tracer = current_tracer()
     with tracer.span(SPAN_PLAN):
         plan = build_plan(graph, query, edge_order)
+    csr = entry.csr
+    # the plan cache hands every repeat of a query the same plan object:
+    # a plan already served resolves by identity, without re-deriving
+    # the query signature or hashing the steps
+    program = csr.plan_programs.get((id(plan), injective))
+    if program is not None and program.plan is plan:
+        entry.program_hits += 1
+        return program
     # key on the query's signature *and* the plan's step content (steps
     # are frozen dataclasses): a plan the delta-scoped cache dropped and
     # re-derived identically maps back to its already-compiled kernel,
     # while same-shaped queries with different predicates -- whose plans
     # carry only vertex/edge ids -- never collide
     key = (query.signature(), tuple(plan), injective)
-    program = entry.csr.programs.get(key)
+    program = csr.programs.get(key)
     if program is None:
         with tracer.span(SPAN_PROGRAM_COMPILE):
-            program = MatchProgram(entry.csr, plan, query, injective, evalcache)
-        entry.csr.programs[key] = program
+            program = MatchProgram(csr, plan, query, injective, evalcache)
+        csr.programs[key] = program
         entry.programs_compiled += 1
     else:
         entry.program_hits += 1
+        # one identity shortcut per program: a re-derived plan replaces
+        # the dropped one's
+        csr.plan_programs.pop((id(program.plan), injective), None)
+        program.plan = plan
+    csr.plan_programs[(id(plan), injective)] = program
     return program

@@ -76,17 +76,52 @@ def tracing_default() -> bool:
     return os.environ.get("REPRO_TRACE", "0") not in ("", "0")
 
 
+_perf_counter = time.perf_counter
+
+
 class Span:
-    """One timed node in the trace tree."""
+    """One timed node in the trace tree.
 
-    __slots__ = ("kind", "attributes", "children", "started_at", "elapsed_s")
+    A span opened by :meth:`Tracer.span` is its own context manager: it
+    attaches itself under the tracer's innermost open span on entry,
+    and pops itself and stamps the monotonic elapsed time on exit
+    (exceptions included, so aborted requests still trace).  The span
+    takes ownership of the ``attributes`` dict it is given."""
 
-    def __init__(self, kind: str, attributes: Optional[Dict[str, Any]] = None):
+    __slots__ = ("kind", "attributes", "children", "started_at", "elapsed_s", "_tracer")
+
+    def __init__(
+        self,
+        kind: str,
+        attributes: Optional[Dict[str, Any]] = None,
+        tracer: Optional["Tracer"] = None,
+    ):
         self.kind = kind
-        self.attributes: Dict[str, Any] = dict(attributes) if attributes else {}
+        self.attributes: Dict[str, Any] = attributes if attributes is not None else {}
         self.children: List["Span"] = []
         self.started_at = 0.0
         self.elapsed_s = 0.0
+        self._tracer = tracer
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        stack = tracer._stack
+        (stack[-1].children if stack else tracer.roots).append(self)
+        stack.append(self)
+        self.started_at = _perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.elapsed_s = _perf_counter() - self.started_at
+        stack = self._tracer._stack
+        # a closed span needs no tracer: dropping the reference keeps the
+        # tree free of cycles, so a finished trace is freed on release
+        self._tracer = None
+        if stack and stack[-1] is self:
+            stack.pop()
+        if exc_type is not None:
+            self.attributes.setdefault("error", exc_type.__name__)
+        return False
 
     def walk(self) -> Iterator["Span"]:
         yield self
@@ -105,39 +140,6 @@ class Span:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.kind!r}, {self.elapsed_s:.6f}s, {len(self.children)} children)"
-
-
-class _SpanHandle:
-    """Context manager produced by :meth:`Tracer.span`; opens the span
-    on entry, pops it and stamps the monotonic elapsed time on exit
-    (exceptions included, so aborted requests still trace)."""
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "Tracer", kind: str, attributes: Dict[str, Any]):
-        self._tracer = tracer
-        self.span = Span(kind, attributes)
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        span = self.span
-        if tracer._stack:
-            tracer._stack[-1].children.append(span)
-        else:
-            tracer.roots.append(span)
-        tracer._stack.append(span)
-        span.started_at = time.perf_counter()
-        return span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self.span
-        span.elapsed_s = time.perf_counter() - span.started_at
-        stack = self._tracer._stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        if exc_type is not None:
-            span.attributes.setdefault("error", exc_type.__name__)
-        return False
 
 
 class _Activation:
@@ -174,8 +176,8 @@ class Tracer:
         self.roots: List[Span] = []
         self._stack: List[Span] = []
 
-    def span(self, kind: str, **attributes: Any) -> _SpanHandle:
-        return _SpanHandle(self, kind, attributes)
+    def span(self, kind: str, **attributes: Any) -> Span:
+        return Span(kind, attributes, self)
 
     def annotate(self, **attributes: Any) -> None:
         """Attach attributes to the innermost open span (no-op when no

@@ -741,7 +741,8 @@ class SliceEvaluator:
                 value = self._resolve_count(shard_index, query, limit)
             total += value
         if limit is not None:
-            return min(total, limit)
+            # a limit <= 0 counts nothing, like the unsharded count
+            return min(total, max(limit, 0))
         return total
 
     def match(self, query: GraphQuery, limit: Optional[int] = None) -> ResultSet:

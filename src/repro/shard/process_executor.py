@@ -604,7 +604,7 @@ class ProcessExecutor:
                 if value is None:
                     value = self._resolve_block(shard_index, query, limit)
                 total += value
-            counts.append(min(total, limit) if limit is not None else total)
+            counts.append(min(total, max(limit, 0)) if limit is not None else total)
         with self._lock:
             self.batches += 1
             self.queries_shipped += shipped

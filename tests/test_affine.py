@@ -395,6 +395,24 @@ class TestAffineProcessExecutor:
             assert executor.pool_rebuilds == rebuilds + 1
             assert executor.info()["pools"]["snapshot_version"] == g.version
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_nonpositive_limit_counts_nothing(self, limit):
+        """The sum-and-clamp merges agree with the unsharded count: a
+        ``limit <= 0`` counts nothing, in process and across workers."""
+        g = PropertyGraph()
+        for name in ("a", "b"):
+            g.add_edge(
+                g.add_vertex(type="person", name=name),
+                g.add_vertex(type="university", name=name),
+                "workAt",
+            )
+        query = typed_query("person", "workAt")
+        assert PatternMatcher(g).count(query, limit=limit) == 0
+        assert affine_evaluator(g, 2).count(query, limit=limit) == 0
+        with ProcessExecutor(g, max_workers=1, shards=2) as executor:
+            assert executor.run_queries([query], limit=limit) == [0]
+            assert executor.count_sharded(query, limit=limit) == 0
+
     def test_one_shard_count_sharded_is_a_plain_count(self, affine_graph):
         """``shards == 1`` is the full-snapshot pool: no partition, no
         affine pools, and ``count_sharded`` is a plain pool count."""

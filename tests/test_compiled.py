@@ -166,6 +166,41 @@ class TestCompiledAgreesWithInterpreter:
                 oracle.match(two_hop, limit=limit)
             ), limit
 
+    def test_bounded_counts_visit_the_interpreters_candidates(self):
+        # count kernels count their last step's candidates in place and
+        # add a row's steps at once when the limit cannot fall inside
+        # it: every limit, including ones that land mid-row, must still
+        # count and visit exactly what the interpreter does
+        g = PropertyGraph()
+        hubs = [g.add_vertex(type="hub") for _ in range(3)]
+        for hub in hubs:
+            for _ in range(3):
+                g.add_edge(hub, g.add_vertex(type="leaf"), "rel")
+            g.add_edge(g.add_vertex(type="leaf"), hub, "other")
+        g.add_edge(hubs[0], hubs[0], "rel")
+        g.add_edge(hubs[1], hubs[2], "rel")
+        g.add_edge(hubs[1], hubs[2], "other")
+        typed = GraphQuery()
+        h = typed.add_vertex(predicates={"type": equals("hub")})
+        typed.add_edge(h, typed.add_vertex(predicates={"type": equals("leaf")}), types={"rel"})
+        both = GraphQuery()
+        h = both.add_vertex(predicates={"type": equals("hub")})
+        both.add_edge(h, both.add_vertex(), types={"rel", "other"}, directions=BOTH_DIRECTIONS)
+        closing = GraphQuery()
+        a = closing.add_vertex(predicates={"type": equals("hub")})
+        b = closing.add_vertex(predicates={"type": equals("hub")})
+        closing.add_edge(a, b, types={"rel"})
+        closing.add_edge(a, b, directions=BOTH_DIRECTIONS)
+        for injective in (True, False):
+            for q in (typed, both, closing):
+                oracle, compiled = oracle_pair(g, injective=injective)
+                total = oracle.count(q)
+                assert total > 0
+                for limit in range(1, total + 2):
+                    oracle.steps = compiled.steps = 0
+                    assert compiled.count(q, limit=limit) == oracle.count(q, limit=limit)
+                    assert compiled.steps == oracle.steps, (q.signature(), limit)
+
     def test_empty_query_falls_back(self, tiny_graph):
         q = GraphQuery()
         oracle, compiled = oracle_pair(tiny_graph)
